@@ -3,6 +3,7 @@
    Subcommands:
      compile  FILE     parse, optimize, emit; print binary statistics
      run      FILE     compile and execute main with integer arguments
+                       (exit 2 when the VM traps, e.g. on --fuel exhaustion)
      pgo      NAME     run PGO variant(s) end-to-end on a named workload
      stale    NAME     drift the source, stale-match, report recovery
      report   NAME     all-variant quality report (text or JSON)
@@ -79,10 +80,24 @@ let compile_cmd =
 let args_arg =
   Arg.(value & opt_all int64 [] & info [ "arg" ] ~docv:"N" ~doc:"Argument passed to main (repeatable)")
 
+let fuel_arg =
+  Arg.(
+    value
+    & opt int64 2_000_000_000L
+    & info [ "fuel" ] ~docv:"N"
+        ~doc:"Instruction budget; a run that exhausts it stops with exit code 2")
+
 let run_cmd =
-  let run file opt probes args =
+  let run file opt probes args fuel =
     let _, bin = compile_src ~probes ~opt (read_file file) in
-    let r = Vm.Machine.run ~pmu:None bin ~entry:"main" ~args in
+    let r =
+      (* A VM trap (fuel exhausted, unmapped jump) is a resource limit or a
+         property of the program, not a tool bug: one line, exit 2. *)
+      try Vm.Machine.run ~pmu:None ~fuel bin ~entry:"main" ~args
+      with Vm.Machine.Trap msg ->
+        prerr_endline ("csspgo: run: trap: " ^ msg);
+        exit 2
+    in
     Printf.printf "result        %Ld\n" r.Vm.Machine.ret_value;
     Printf.printf "cycles        %Ld\n" r.Vm.Machine.cycles;
     Printf.printf "instructions  %Ld\n" r.Vm.Machine.instructions;
@@ -92,7 +107,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute a MiniC file on the VM")
-    Term.(const run $ file_arg $ opt_arg $ probes_flag $ args_arg)
+    Term.(const run $ file_arg $ opt_arg $ probes_flag $ args_arg $ fuel_arg)
 
 (* --- pgo ----------------------------------------------------------- *)
 

@@ -410,6 +410,11 @@ module Plan = struct
      Every spec type is a closure-free record, so this is total. *)
   let fp_string s = Printf.sprintf "%Lx" (Fnv.hash_string s)
   let fp v = fp_string (Marshal.to_string v [])
+  (* Marshal keeps sharing: a box reachable twice is written once and
+     then referenced, so the bytes (and every key or digest over them)
+     depend on physical sharing, not just on values. The instr-PGO
+     correlate payload holds the VM's counter array, whose zero entries
+     are one shared [0L]; fresh boxes would change its digest. *)
   let mser v = Marshal.to_string v []
   let mde s = Marshal.from_string s 0
 

@@ -38,61 +38,83 @@ type result = {
   taken_branches : int64;
   mispredicts : int64;
   value_profiles : (int, (int64, int64) Hashtbl.t) Hashtbl.t;
-  addr_counts : (int, int64) Hashtbl.t option;
 }
 
 exception Trap of string
 
 (* ------------------------------------------------------------------ *)
-(* Decoded representation: names and guids resolved to dense indices,
-   addresses resolved to instruction indices where possible.           *)
+(* Unboxed storage. Register files, spill slots and globals are int64
+   words in [Bytes], read and written through the native-endian
+   primitives: a value read and immediately written back, or fed to an
+   arithmetic primitive, is never boxed. The byte order is internal. *)
 
-type doperand =
-  | DReg of int
-  | DImm of int64
-  | DSpill of int
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* ------------------------------------------------------------------ *)
+(* Decoded representation: names and guids resolved to dense indices,
+   addresses resolved to instruction indices, and every static branch's
+   LBR record built once.
+
+   An operand is one int: [r] for register r, [n_phys + s] for spill slot
+   s (both are word indices into the current frame; a slot beyond the
+   frame reads as 0), and [-1 - k] for the k-th immediate of the constant
+   pool. A location ([Mach.loc]) uses the same word index, or -1 for
+   "none". *)
+
+type dcall = {
+  c_entry : int;            (* entry instruction index *)
+  c_words : int;            (* callee frame size, words *)
+  c_params : int array;     (* callee parameter locations *)
+  c_args : int array;       (* operands *)
+  c_ret : int;              (* caller location receiving the result; -1 = none *)
+  c_cost : int;
+  c_pair : int * int;       (* LBR record *)
+}
 
 type dop =
-  | DArith of T.binop * int * doperand * doperand
-  | DCmp of T.cmpop * int * doperand * doperand
-  | DSelect of int * int * doperand * doperand
-  | DMov of int * doperand
-  | DLoad of int * int * doperand    (* global index *)
-  | DStore of int * doperand * doperand
-  | DSpill_ld of int * int
-  | DSpill_st of int * int
+  | DArith of { op : T.binop; d : int; a : int; b : int; cost : int }
+  | DCmp of { op : T.cmpop; d : int; a : int; b : int }
+  | DSelect of { d : int; c : int; a : int; b : int }
+  | DMov of { d : int; a : int }  (* also spill loads *)
+  | DLoad of { d : int; g : int; i : int }
+  | DStore of { g : int; i : int; v : int }
+  | DSpill_st of { slot : int; r : int }
   | DCall of dcall
   | DTail_call of dcall
-  | DRet of doperand
-  | DJmp of int                      (* instruction index *)
-  | DJcc of int * bool * int
-  | DSwitch of doperand * (int64 * int) list * int
+  | DRet of { a : int; cost : int }
+  | DJmp of { t : int; pair : int * int }
+  | DJcc of { c : int; pol : bool; t : int; pair : int * int }
+  | DSwitch of {
+      a : int;
+      cost : int;
+      keys : int64 array;
+      tgts : int array;
+      pairs : (int * int) array;
+      dflt : int;
+      dpair : int * int;
+    }
   | DInc of int
-  | DValprof of int * doperand
+  | DValprof of { site : int; a : int }
   | DNop
 
-and dcall = {
-  d_func : int;        (* bfunc index *)
-  d_entry : int;       (* entry instruction index *)
-  d_args : doperand array;
-  d_ret : Mach.loc option;
-  d_spill_args : int;  (* number of OSpill arguments, for the cost model *)
+type decoded = {
+  dops : dop array;
+  kpool : Bytes.t;           (* immediates, 8 bytes each *)
+  iaddr : int array;
+  line0 : int array;         (* first and last i-cache line each instruction spans *)
+  line1 : int array;
+  fn_words : int array;      (* per function: frame size in words *)
+  fn_params : int array array;
+  entry_idx : int Ir.Guid.Tbl.t;
 }
 
-type frame = {
-  fr_func : int;
-  fr_regs : int64 array;
-  fr_slots : int64 array;
-  fr_ret_pc : int;             (* instruction index to resume at; -1 = entry *)
-  fr_ret_dst : Mach.loc option;
-}
-
-let decode_operand = function
-  | Mach.OReg r -> DReg r
-  | Mach.OImm v -> DImm v
-  | Mach.OSpill s -> DSpill s
+let frame_words (f : Mach.bfunc) = Mach.n_phys + max f.Mach.bf_nslots 1
+let loc_word = function Mach.LReg p -> p | Mach.LSpill s -> Mach.n_phys + s
 
 let decode (b : Mach.binary) =
+  let insts = b.Mach.insts in
+  let n_inst = Array.length insts in
   let gindex = Hashtbl.create 16 in
   List.iteri (fun i (name, _) -> Hashtbl.replace gindex name i) b.Mach.globals;
   let entry_idx = Ir.Guid.Tbl.create 64 in
@@ -104,12 +126,29 @@ let decode (b : Mach.binary) =
       | Some idx -> Ir.Guid.Tbl.replace entry_idx f.Mach.bf_guid idx
       | None -> ())
     b.Mach.funcs;
+  let fn_words = Array.map frame_words b.Mach.funcs in
+  let fn_params =
+    Array.map (fun (f : Mach.bfunc) -> Array.map loc_word f.Mach.bf_param_locs) b.Mach.funcs
+  in
+  let consts = Buffer.create 64 in
+  let operand = function
+    | Mach.OReg r -> r
+    | Mach.OSpill s -> Mach.n_phys + s
+    | Mach.OImm v ->
+        let k = Buffer.length consts / 8 in
+        Buffer.add_int64_ne consts v;
+        -1 - k
+  in
+  let is_spill = function Mach.OSpill _ -> true | _ -> false in
   let idx_of_addr addr =
     match Hashtbl.find_opt b.Mach.addr_index addr with
     | Some i -> i
     | None -> raise (Trap (Printf.sprintf "jump to unmapped address 0x%x" addr))
   in
-  let decode_call (c : Mach.mcall) =
+  let pair src_idx tgt_idx =
+    (insts.(src_idx).Mach.i_addr, if tgt_idx < n_inst then insts.(tgt_idx).Mach.i_addr else 0)
+  in
+  let decode_call i base_cost (c : Mach.mcall) =
     let fi =
       match Ir.Guid.Tbl.find_opt func_by_guid c.Mach.m_callee with
       | Some i -> i
@@ -121,66 +160,157 @@ let decode (b : Mach.binary) =
       | None -> raise (Trap ("function with no code: " ^ c.Mach.m_callee_name))
     in
     {
-      d_func = fi;
-      d_entry = entry;
-      d_args = Array.of_list (List.map decode_operand c.Mach.m_args);
-      d_ret = c.Mach.m_ret;
-      d_spill_args =
-        List.length (List.filter (function Mach.OSpill _ -> true | _ -> false) c.Mach.m_args);
+      c_entry = entry;
+      c_words = fn_words.(fi);
+      c_params = fn_params.(fi);
+      c_args = Array.of_list (List.map operand c.Mach.m_args);
+      c_ret = (match c.Mach.m_ret with Some l -> loc_word l | None -> -1);
+      (* +1 per spill-slot argument *)
+      c_cost = base_cost + List.length (List.filter is_spill c.Mach.m_args);
+      c_pair = pair i entry;
     }
   in
   let dops =
-    Array.map
-      (fun (inst : Mach.inst) ->
+    Array.mapi
+      (fun i (inst : Mach.inst) ->
         match inst.Mach.i_op with
-        | Mach.MArith (op, d, a, b') -> DArith (op, d, decode_operand a, decode_operand b')
-        | Mach.MCmp (op, d, a, b') -> DCmp (op, d, decode_operand a, decode_operand b')
-        | Mach.MSelect (d, c, a, b') -> DSelect (d, c, decode_operand a, decode_operand b')
-        | Mach.MMov (d, a) -> DMov (d, decode_operand a)
-        | Mach.MLoad (d, g, i) -> DLoad (d, Hashtbl.find gindex g, decode_operand i)
-        | Mach.MStore (g, i, v) -> DStore (Hashtbl.find gindex g, decode_operand i, decode_operand v)
-        | Mach.MSpill_ld (d, s) -> DSpill_ld (d, s)
-        | Mach.MSpill_st (s, r) -> DSpill_st (s, r)
-        | Mach.MCall c -> DCall (decode_call c)
-        | Mach.MTail_call c -> DTail_call (decode_call c)
-        | Mach.MRet o -> DRet (decode_operand o)
-        | Mach.MJmp a -> DJmp (idx_of_addr a)
-        | Mach.MJcc (c, pol, a) -> DJcc (c, pol, idx_of_addr a)
+        | Mach.MArith (op, d, a, b') ->
+            (* Division by a compile-time constant is strength-reduced
+               (multiply/shift sequence), far cheaper than a full divide. *)
+            let cost =
+              match (op, b') with
+              | (T.Div | T.Rem), Mach.OImm _ -> 4
+              | (T.Div | T.Rem), _ -> 20
+              | T.Mul, _ -> 3
+              | _ -> 1
+            in
+            DArith { op; d; a = operand a; b = operand b'; cost }
+        | Mach.MCmp (op, d, a, b') -> DCmp { op; d; a = operand a; b = operand b' }
+        | Mach.MSelect (d, c, a, b') -> DSelect { d; c; a = operand a; b = operand b' }
+        | Mach.MMov (d, a) -> DMov { d; a = operand a }
+        | Mach.MLoad (d, g, ix) -> DLoad { d; g = Hashtbl.find gindex g; i = operand ix }
+        | Mach.MStore (g, ix, v) ->
+            DStore { g = Hashtbl.find gindex g; i = operand ix; v = operand v }
+        | Mach.MSpill_ld (d, s) -> DMov { d; a = Mach.n_phys + s }
+        | Mach.MSpill_st (s, r) -> DSpill_st { slot = Mach.n_phys + s; r }
+        | Mach.MCall c -> DCall (decode_call i 14 c)
+        | Mach.MTail_call c -> DTail_call (decode_call i 10 c)
+        | Mach.MRet o -> DRet { a = operand o; cost = (if is_spill o then 6 else 5) }
+        | Mach.MJmp a ->
+            let t = idx_of_addr a in
+            DJmp { t; pair = pair i t }
+        | Mach.MJcc (c, pol, a) ->
+            let t = idx_of_addr a in
+            DJcc { c; pol; t; pair = pair i t }
         | Mach.MSwitch (o, cases, d) ->
-            DSwitch (decode_operand o, List.map (fun (k, a) -> (k, idx_of_addr a)) cases, idx_of_addr d)
+            let tgts = Array.of_list (List.map (fun (_, a) -> idx_of_addr a) cases) in
+            let dflt = idx_of_addr d in
+            DSwitch
+              {
+                a = operand o;
+                cost = (if is_spill o then 8 else 5);
+                keys = Array.of_list (List.map fst cases);
+                tgts;
+                pairs = Array.map (pair i) tgts;
+                dflt;
+                dpair = pair i dflt;
+              }
         | Mach.MInc c -> DInc c
-        | Mach.MValprof (s, o) -> DValprof (s, decode_operand o)
+        | Mach.MValprof (site, o) -> DValprof { site; a = operand o }
         | Mach.MNop -> DNop)
-      b.Mach.insts
+      insts
   in
-  (dops, entry_idx)
+  let iaddr = Array.map (fun (inst : Mach.inst) -> inst.Mach.i_addr) insts in
+  {
+    dops;
+    kpool = Buffer.to_bytes consts;
+    iaddr;
+    line0 = Array.map (fun a -> a lsr 6) iaddr;
+    line1 =
+      Array.map (fun (inst : Mach.inst) -> (inst.Mach.i_addr + inst.Mach.i_size - 1) lsr 6) insts;
+    fn_words;
+    fn_params;
+    entry_idx;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Operand reads and ALU semantics. These live here, not in [Ir.Types]:
+   the dev profile compiles every module [-opaque], so a call into another
+   module is never inlined and always returns a boxed int64. Inlined, they
+   compile to unboxed reads and arithmetic. The arithmetic must agree with
+   [Ir.Types.eval_binop] / [eval_cmpop] (the constant folder's semantics);
+   a property test pins that. *)
+
+let[@inline] read mem base words kpool o =
+  if o >= 0 then if o < words then get64 mem (base + (o lsl 3)) else 0L
+  else get64 kpool ((-1 - o) lsl 3)
+
+let[@inline] binop op (a : int64) (b : int64) =
+  match op with
+  | T.Add -> Int64.add a b
+  | T.Sub -> Int64.sub a b
+  | T.Mul -> Int64.mul a b
+  | T.Div -> if b = 0L then 0L else Int64.div a b
+  | T.Rem -> if b = 0L then 0L else Int64.rem a b
+  | T.And -> Int64.logand a b
+  | T.Or -> Int64.logor a b
+  | T.Xor -> Int64.logxor a b
+  | T.Shl -> Int64.shift_left a (Int64.to_int b land 63)
+  | T.Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
+
+let[@inline] cmpop op (a : int64) (b : int64) =
+  let r =
+    match op with
+    | T.Eq -> a = b
+    | T.Ne -> a <> b
+    | T.Lt -> a < b
+    | T.Le -> a <= b
+    | T.Gt -> a > b
+    | T.Ge -> a >= b
+  in
+  if r then 1L else 0L
+
+let no_pair = (-1, -1)
+
+let rec find_src src = function
+  | [] -> no_pair
+  | ((s, _) as p) :: rest -> if s = src then p else find_src src rest
 
 (* ------------------------------------------------------------------ *)
 
 let icache_lines = 512 (* 512 * 64B = 32 KiB, direct-mapped *)
 
-let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addrs = false)
+(* Kinds of the last control transfer, for skid simulation. Each is the
+   number of newest frames a skidded stack walk drops. *)
+let k_call = 2
+let k_other = 1
+let k_ret = 0
+
+let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = [])
     ?(fuel = 2_000_000_000L) ?sink ?labels ?(debug_poison = false) ?obs
     (b : Mach.binary) ~entry =
-  let dops, entry_idx = decode b in
-  let insts = b.Mach.insts in
-  let n_inst = Array.length insts in
+  let dc = decode b in
+  let dops = dc.dops and kpool = dc.kpool and iaddr = dc.iaddr in
+  let line0 = dc.line0 and line1 = dc.line1 in
+  let n_inst = Array.length dops in
   (* Globals. *)
-  let garrays =
+  let gmem =
     Array.of_list
       (List.map
          (fun (name, size) ->
-           let a = Array.make (max size 1) 0L in
+           let n = max size 1 in
+           let m = Bytes.make (8 * n) '\000' in
            (match List.assoc_opt name globals_init with
            | Some init ->
-               Array.blit init 0 a 0 (min (Array.length init) (Array.length a))
+               for k = 0 to min (Array.length init) n - 1 do
+                 set64 m (8 * k) init.(k)
+               done
            | None -> ());
-           a)
+           m)
          b.Mach.globals)
   in
-  let counters = Array.make (max b.Mach.n_counters 1) 0L in
+  let counters = Array.make (max b.Mach.n_counters 1) 0 in
   let value_profiles : (int, (int64, int64) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
-  let addr_counts = if count_addrs then Some (Hashtbl.create 4096) else None in
   (* Entry function. *)
   let entry_guid = Ir.Guid.of_name entry in
   let entry_fidx =
@@ -192,49 +322,65 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
     !r
   in
   let entry_ip =
-    match Ir.Guid.Tbl.find_opt entry_idx entry_guid with
+    match Ir.Guid.Tbl.find_opt dc.entry_idx entry_guid with
     | Some i -> i
     | None -> raise (Trap ("entry function has no code: " ^ entry))
   in
-  let mk_frame fidx ret_pc ret_dst =
-    let f = b.Mach.funcs.(fidx) in
-    {
-      fr_func = fidx;
-      fr_regs = Array.make Mach.n_phys 0L;
-      fr_slots = Array.make (max f.Mach.bf_nslots 1) 0L;
-      fr_ret_pc = ret_pc;
-      fr_ret_dst = ret_dst;
-    }
+  (* The frame stack. Frames sit back to back in [mem]; frame [d] spans
+     [fs_words.(d)] words from byte [fs_base.(d)]. [sp] is the top frame,
+     whose base and size are cached in [base] and [words]. A frame is
+     zeroed when entered, so unwritten registers and slots read 0. *)
+  let mem = ref (Bytes.create (8 * 64 * frame_words b.Mach.funcs.(entry_fidx))) in
+  let fs_base = ref (Array.make 64 0) in
+  let fs_words = ref (Array.make 64 0) in
+  let fs_ret_pc = ref (Array.make 64 0) in      (* instruction index; -1 = entry *)
+  let fs_ret_dst = ref (Array.make 64 0) in     (* caller location; -1 = none *)
+  let sp = ref 0 in
+  let base = ref 0 in
+  let words = ref dc.fn_words.(entry_fidx) in
+  let grow a = a := Array.append !a (Array.make (Array.length !a) 0) in
+  (* Make room for a frame of [w] words at byte [at] and zero it. *)
+  let enter_frame at w =
+    let need = at + (8 * w) in
+    if need > Bytes.length !mem then begin
+      let m = Bytes.create (max need (2 * Bytes.length !mem)) in
+      Bytes.blit !mem 0 m 0 at;
+      mem := m
+    end;
+    Bytes.fill !mem at (8 * w) '\000'
   in
-  let write_loc (fr : frame) loc v =
-    match loc with
-    | Mach.LReg p -> fr.fr_regs.(p) <- v
-    | Mach.LSpill s -> if s < Array.length fr.fr_slots then fr.fr_slots.(s) <- v
-  in
-  let stack = ref [ mk_frame entry_fidx (-1) None ] in
+  enter_frame 0 !words;
+  !fs_words.(0) <- !words;
+  !fs_ret_pc.(0) <- -1;
   (* Bind entry arguments. *)
-  (match !stack with
-  | top :: _ ->
-      let params = b.Mach.funcs.(entry_fidx).Mach.bf_param_locs in
-      List.iteri (fun i v -> if i < Array.length params then write_loc top params.(i) v) args
-  | [] -> ());
+  let params = dc.fn_params.(entry_fidx) in
+  List.iteri
+    (fun k v ->
+      if k < Array.length params && params.(k) < !words then set64 !mem (params.(k) lsl 3) v)
+    args;
+  let targs = ref (Bytes.create 64) in  (* tail-call argument scratch *)
   let ip = ref entry_ip in
-  let cycles = ref 0L in
-  let instructions = ref 0L in
-  let icache_misses = ref 0L in
-  let taken_branches = ref 0L in
-  let mispredicts = ref 0L in
+  let cycles = ref 0 in
+  let instructions = ref 0 in
+  let icache_misses = ref 0 in
+  let taken_branches = ref 0 in
+  let mispredicts = ref 0 in
   let ret_value = ref 0L in
   let running = ref true in
-  (* PMU state. *)
-  let lbr_depth = match pmu with Some p -> p.lbr_depth | None -> 16 in
-  let lbr = Array.make (max lbr_depth 1) (0, 0) in
+  let fuel =
+    if Int64.compare fuel (Int64.of_int max_int) >= 0 then max_int else Int64.to_int fuel
+  in
+  (* PMU state. The ring holds shared pairs: taken branches store the
+     record built at decode; returns build theirs once (see [ret_pairs]). *)
+  let lbr_depth = match pmu with Some p -> max p.lbr_depth 1 | None -> 16 in
+  let lbr = Array.make lbr_depth (0, 0) in
   let lbr_len = ref 0 in
   let lbr_pos = ref 0 in
+  let last_kind = ref k_other in
   (* Streaming sample delivery: the ring and frame chain are flushed into
      reusable scratch buffers and handed to the sink. Nothing per-sample
      survives the callback unless the sink copies it. *)
-  let lbr_scratch = Array.make (max lbr_depth 1) (0, 0) in
+  let lbr_scratch = Array.make lbr_depth (0, 0) in
   let stack_scratch = ref (Array.make 64 0) in
   let n_samples = ref 0 in
   let collected = ref [] in
@@ -256,36 +402,22 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
      the first sample: every sample this run flushes carries it. *)
   (match labels with Some ls -> the_sink.on_labels ls | None -> ());
   let poison_pair = (min_int, min_int) in
-  let next_sample =
-    ref (match pmu with Some p when p.sample_period > 0 -> Int64.of_int p.sample_period | _ -> Int64.max_int)
-  in
+  let period = match pmu with Some p when p.sample_period > 0 -> p.sample_period | _ -> 0 in
+  let next_sample = ref (if period > 0 then period else max_int) in
   let rng = Rng.create (match pmu with Some p -> p.seed | None -> 1L) in
-  (* For skid simulation: kind of the last control transfer. *)
-  let last_kind = ref `Other in
-  let record_branch kind src_idx tgt_idx =
-    taken_branches := Int64.add !taken_branches 1L;
-    let src = insts.(src_idx).Mach.i_addr in
-    let tgt = if tgt_idx < n_inst then insts.(tgt_idx).Mach.i_addr else 0 in
-    lbr.(!lbr_pos) <- (src, tgt);
-    lbr_pos := (!lbr_pos + 1) mod Array.length lbr;
-    if !lbr_len < Array.length lbr then incr lbr_len;
+  let record_branch kind pair =
+    incr taken_branches;
+    lbr.(!lbr_pos) <- pair;
+    lbr_pos := if !lbr_pos + 1 = lbr_depth then 0 else !lbr_pos + 1;
+    if !lbr_len < lbr_depth then incr lbr_len;
     last_kind := kind
   in
+  (* A return's LBR record depends on the dynamic return point, so it is
+     built at run time, once: each return point keeps the records of the
+     returns that reached it. *)
+  let ret_pairs = Array.make (n_inst + 1) [] in
   let icache = Array.make icache_lines (-1) in
   let predictor = Array.make (max n_inst 1) 1 in
-  let charge n = cycles := Int64.add !cycles (Int64.of_int n) in
-  let fetch_cost addr size =
-    (* Touch every 64-byte line the instruction spans. *)
-    let first = addr / 64 and last = (addr + size - 1) / 64 in
-    for line = first to last do
-      let set = line mod icache_lines in
-      if icache.(set) <> line then begin
-        icache.(set) <- line;
-        icache_misses := Int64.add !icache_misses 1L;
-        charge 20
-      end
-    done
-  in
   let ensure_stack_scratch cap =
     if cap > Array.length !stack_scratch then begin
       let a = Array.make (max cap (2 * Array.length !stack_scratch)) 0 in
@@ -295,24 +427,21 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
   in
   (* Write the frame walk (leaf first) into the scratch; returns its length. *)
   let walk_stack cur_addr =
-    ensure_stack_scratch (1 + List.length !stack);
-    let sbuf = !stack_scratch in
+    ensure_stack_scratch (2 + !sp);
+    let sbuf = !stack_scratch and ret_pc = !fs_ret_pc in
     sbuf.(0) <- cur_addr;
-    let n = ref 1 in
-    (try
-       List.iter
-         (fun (fr : frame) ->
-           if fr.fr_ret_pc < 0 then raise Exit;
-           sbuf.(!n) <-
-             (if fr.fr_ret_pc < n_inst then insts.(fr.fr_ret_pc).Mach.i_addr else 0);
-           incr n)
-         !stack
-     with Exit -> ());
+    let n = ref 1 and d = ref !sp in
+    while !d >= 0 && ret_pc.(!d) >= 0 do
+      let pc = ret_pc.(!d) in
+      sbuf.(!n) <- (if pc < n_inst then iaddr.(pc) else 0);
+      incr n;
+      decr d
+    done;
     !n
   in
   let take_sample () =
     incr n_samples;
-    let cur_addr = if !ip < n_inst then insts.(!ip).Mach.i_addr else 0 in
+    let cur_addr = if !ip < n_inst then iaddr.(!ip) else 0 in
     let stack_len = walk_stack cur_addr in
     let stack_len =
       match pmu with
@@ -321,10 +450,10 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
              [src] prepended to the walk with the newest k frames dropped
              (k = 2 after a call, 0 after a return, 1 otherwise), computed
              in place on the scratch. *)
-          let src, _ = lbr.((!lbr_pos - 1 + Array.length lbr) mod Array.length lbr) in
+          let src, _ = lbr.((!lbr_pos - 1 + lbr_depth) mod lbr_depth) in
           ensure_stack_scratch (stack_len + 1);
           let sbuf = !stack_scratch in
-          let k = match !last_kind with `Call -> 2 | `Ret -> 0 | `Other -> 1 in
+          let k = !last_kind in
           let kept = max 0 (stack_len - k) in
           if k = 0 then
             for i = stack_len - 1 downto 0 do
@@ -342,7 +471,7 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
     (* Flush the LBR ring oldest-first into the scratch. *)
     let n = !lbr_len in
     for i = 0 to n - 1 do
-      let pos = (!lbr_pos - n + i + Array.length lbr) mod Array.length lbr in
+      let pos = (!lbr_pos - n + i + lbr_depth) mod lbr_depth in
       lbr_scratch.(i) <- lbr.(pos)
     done;
     the_sink.on_sample ~lbr:lbr_scratch ~lbr_len:n ~stack:!stack_scratch ~stack_len;
@@ -352,138 +481,183 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
       Array.fill !stack_scratch 0 (Array.length !stack_scratch) min_int
     end
   in
-  let eval (fr : frame) = function
-    | DReg r -> fr.fr_regs.(r)
-    | DImm v -> v
-    | DSpill s -> if s < Array.length fr.fr_slots then fr.fr_slots.(s) else 0L
+  (* Push a frame for [c] above the current one; arguments are read from
+     the caller, which the new frame does not overlap. *)
+  let call c i =
+    let caller = !base and cw = !words in
+    let nb = caller + (8 * cw) in
+    enter_frame nb c.c_words;
+    let m = !mem in
+    let args = c.c_args and params = c.c_params in
+    for k = 0 to min (Array.length args) (Array.length params) - 1 do
+      if params.(k) < c.c_words then
+        set64 m (nb + (params.(k) lsl 3)) (read m caller cw kpool args.(k))
+    done;
+    incr sp;
+    if !sp = Array.length !fs_base then begin
+      grow fs_base;
+      grow fs_words;
+      grow fs_ret_pc;
+      grow fs_ret_dst
+    end;
+    !fs_base.(!sp) <- nb;
+    !fs_words.(!sp) <- c.c_words;
+    !fs_ret_pc.(!sp) <- i + 1;
+    !fs_ret_dst.(!sp) <- c.c_ret;
+    base := nb;
+    words := c.c_words
+  in
+  (* Replace the current frame by one for [c]: it keeps the caller's return
+     point, and the caller never appears in stack walks again (the TCE
+     missing-frame behaviour). Arguments go through [targs] first because
+     the new frame reuses the old one's words. *)
+  let tail_call c =
+    let fb = !base and m = !mem and args = c.c_args in
+    let n = Array.length args in
+    if 8 * n > Bytes.length !targs then targs := Bytes.create (16 * n);
+    let t = !targs in
+    for k = 0 to n - 1 do
+      set64 t (k lsl 3) (read m fb !words kpool args.(k))
+    done;
+    enter_frame fb c.c_words;
+    let m = !mem and params = c.c_params in
+    for k = 0 to min n (Array.length params) - 1 do
+      if params.(k) < c.c_words then set64 m (fb + (params.(k) lsl 3)) (get64 t (k lsl 3))
+    done;
+    !fs_words.(!sp) <- c.c_words;
+    words := c.c_words
   in
   while !running do
     if !instructions >= fuel then raise (Trap "fuel exhausted");
     let i = !ip in
     if i < 0 || i >= n_inst then raise (Trap (Printf.sprintf "ip out of text: %d" i));
-    let inst = insts.(i) in
-    fetch_cost inst.Mach.i_addr inst.Mach.i_size;
-    instructions := Int64.add !instructions 1L;
-    (match addr_counts with
-    | Some tbl ->
-        Hashtbl.replace tbl inst.Mach.i_addr
-          (Int64.add 1L (Option.value (Hashtbl.find_opt tbl inst.Mach.i_addr) ~default:0L))
-    | None -> ());
-    let fr = List.hd !stack in
+    (* Fetch: touch every 64-byte line the instruction spans. *)
+    for line = line0.(i) to line1.(i) do
+      let set = line land (icache_lines - 1) in
+      if icache.(set) <> line then begin
+        icache.(set) <- line;
+        incr icache_misses;
+        cycles := !cycles + 20
+      end
+    done;
+    incr instructions;
+    let m = !mem and fb = !base and w = !words in
     let next = ref (i + 1) in
     (match dops.(i) with
-    | DArith (op, d, a, b') ->
-        (* Division by a compile-time constant is strength-reduced
-           (multiply/shift sequence), far cheaper than a full divide. *)
-        let cost =
-          match (op, b') with
-          | (T.Div | T.Rem), DImm _ -> 4
-          | (T.Div | T.Rem), _ -> 20
-          | T.Mul, _ -> 3
-          | _ -> 1
-        in
-        charge cost;
-        fr.fr_regs.(d) <- T.eval_binop op (eval fr a) (eval fr b')
-    | DCmp (op, d, a, b') ->
-        charge 1;
-        fr.fr_regs.(d) <- T.eval_cmpop op (eval fr a) (eval fr b')
-    | DSelect (d, c, a, b') ->
-        charge 1;
-        fr.fr_regs.(d) <- (if fr.fr_regs.(c) <> 0L then eval fr a else eval fr b')
-    | DMov (d, a) ->
-        charge 1;
-        fr.fr_regs.(d) <- eval fr a
-    | DLoad (d, g, idx) ->
-        charge 3;
-        let arr = garrays.(g) in
-        let n = Array.length arr in
-        let k = Int64.to_int (eval fr idx) in
-        let k = ((k mod n) + n) mod n in
-        fr.fr_regs.(d) <- arr.(k)
-    | DStore (g, idx, v) ->
-        charge 3;
-        let arr = garrays.(g) in
-        let n = Array.length arr in
-        let k = Int64.to_int (eval fr idx) in
-        let k = ((k mod n) + n) mod n in
-        arr.(k) <- eval fr v
-    | DSpill_ld (d, s) ->
+    | DArith { op; d; a; b; cost } ->
+        cycles := !cycles + cost;
+        set64 m (fb + (d lsl 3)) (binop op (read m fb w kpool a) (read m fb w kpool b))
+    | DCmp { op; d; a; b } ->
+        incr cycles;
+        set64 m (fb + (d lsl 3)) (cmpop op (read m fb w kpool a) (read m fb w kpool b))
+    | DSelect { d; c; a; b } ->
+        incr cycles;
+        set64 m
+          (fb + (d lsl 3))
+          (if get64 m (fb + (c lsl 3)) <> 0L then read m fb w kpool a else read m fb w kpool b)
+    | DMov { d; a } ->
+        incr cycles;
+        set64 m (fb + (d lsl 3)) (read m fb w kpool a)
+    | DLoad { d; g; i = idx } ->
+        cycles := !cycles + 3;
+        let gm = gmem.(g) in
+        let n = Bytes.length gm lsr 3 in
+        let k = Int64.to_int (read m fb w kpool idx) in
+        let k = if k >= 0 && k < n then k else ((k mod n) + n) mod n in
+        set64 m (fb + (d lsl 3)) (get64 gm (k lsl 3))
+    | DStore { g; i = idx; v } ->
+        cycles := !cycles + 3;
+        let gm = gmem.(g) in
+        let n = Bytes.length gm lsr 3 in
+        let k = Int64.to_int (read m fb w kpool idx) in
+        let k = if k >= 0 && k < n then k else ((k mod n) + n) mod n in
+        set64 gm (k lsl 3) (read m fb w kpool v)
+    | DSpill_st { slot; r } ->
         (* L1-resident, store-forwarded: effectively pipelined. *)
-        charge 1;
-        fr.fr_regs.(d) <- (if s < Array.length fr.fr_slots then fr.fr_slots.(s) else 0L)
-    | DSpill_st (s, r) ->
-        charge 1;
-        if s < Array.length fr.fr_slots then fr.fr_slots.(s) <- fr.fr_regs.(r)
+        incr cycles;
+        if slot < w then set64 m (fb + (slot lsl 3)) (get64 m (fb + (r lsl 3)))
     | DCall c ->
         (* Call overhead models prologue/epilogue and frame setup. *)
-        charge (14 + c.d_spill_args);
-        let vals = Array.map (eval fr) c.d_args in
-        let nf = mk_frame c.d_func (i + 1) c.d_ret in
-        let params = b.Mach.funcs.(c.d_func).Mach.bf_param_locs in
-        Array.iteri (fun k v -> if k < Array.length params then write_loc nf params.(k) v) vals;
-        stack := nf :: !stack;
-        record_branch `Call i c.d_entry;
-        next := c.d_entry
+        cycles := !cycles + c.c_cost;
+        call c i;
+        record_branch k_call c.c_pair;
+        next := c.c_entry
     | DTail_call c ->
-        charge (10 + c.d_spill_args);
-        let vals = Array.map (eval fr) c.d_args in
-        (* The caller frame is replaced: it will never appear in stack
-           walks again (TCE missing-frame behaviour). *)
-        let nf = mk_frame c.d_func fr.fr_ret_pc fr.fr_ret_dst in
-        let params = b.Mach.funcs.(c.d_func).Mach.bf_param_locs in
-        Array.iteri (fun k v -> if k < Array.length params then write_loc nf params.(k) v) vals;
-        stack := nf :: List.tl !stack;
-        record_branch `Call i c.d_entry;
-        next := c.d_entry
-    | DRet o ->
-        charge (5 + match o with DSpill _ -> 1 | _ -> 0);
-        let v = eval fr o in
-        stack := List.tl !stack;
-        (match !stack with
-        | [] ->
-            ret_value := v;
-            running := false;
-            record_branch `Ret i i
-        | parent :: _ ->
-            (match fr.fr_ret_dst with
-            | Some loc -> write_loc parent loc v
-            | None -> ());
-            record_branch `Ret i fr.fr_ret_pc;
-            next := fr.fr_ret_pc)
-    | DJmp t ->
-        charge 3;
-        record_branch `Other i t;
+        cycles := !cycles + c.c_cost;
+        tail_call c;
+        record_branch k_call c.c_pair;
+        next := c.c_entry
+    | DRet { a; cost } ->
+        cycles := !cycles + cost;
+        let v = read m fb w kpool a in
+        if !sp = 0 then begin
+          ret_value := v;
+          running := false;
+          record_branch k_ret (iaddr.(i), iaddr.(i))
+        end
+        else begin
+          let ret_pc = !fs_ret_pc.(!sp) and dst = !fs_ret_dst.(!sp) in
+          decr sp;
+          base := !fs_base.(!sp);
+          words := !fs_words.(!sp);
+          if dst >= 0 && dst < !words then set64 m (!base + (dst lsl 3)) v;
+          let seen = ret_pairs.(ret_pc) in
+          let pair = find_src iaddr.(i) seen in
+          let pair =
+            if pair != no_pair then pair
+            else begin
+              let p = (iaddr.(i), if ret_pc < n_inst then iaddr.(ret_pc) else 0) in
+              ret_pairs.(ret_pc) <- p :: seen;
+              p
+            end
+          in
+          record_branch k_ret pair;
+          next := ret_pc
+        end
+    | DJmp { t; pair } ->
+        cycles := !cycles + 3;
+        record_branch k_other pair;
         next := t
-    | DJcc (c, pol, t) ->
-        let taken = (fr.fr_regs.(c) <> 0L) = pol in
+    | DJcc { c; pol; t; pair } ->
+        let taken = get64 m (fb + (c lsl 3)) <> 0L = pol in
         (* Per-branch 2-bit saturating predictor: biased branches predict
            near-perfectly after warmup; data-dependent alternating branches
            pay the 12-cycle flush. *)
         let st = predictor.(i) in
         let predicted_taken = st >= 2 in
         if taken <> predicted_taken then begin
-          mispredicts := Int64.add !mispredicts 1L;
-          charge 12
+          incr mispredicts;
+          cycles := !cycles + 12
         end;
         predictor.(i) <- (if taken then min 3 (st + 1) else max 0 (st - 1));
         if taken then begin
-          charge 3;
-          record_branch `Other i t;
+          cycles := !cycles + 3;
+          record_branch k_other pair;
           next := t
         end
-        else charge 1
-    | DSwitch (o, cases, d) ->
-        charge (5 + match o with DSpill _ -> 3 | _ -> 0);
-        let v = eval fr o in
-        let t = match List.assoc_opt v cases with Some t -> t | None -> d in
-        record_branch `Other i t;
-        next := t
+        else incr cycles
+    | DSwitch { a; cost; keys; tgts; pairs; dflt; dpair } ->
+        cycles := !cycles + cost;
+        let v = read m fb w kpool a in
+        let n = Array.length keys in
+        let k = ref 0 in
+        while !k < n && not (Int64.equal keys.(!k) v) do
+          incr k
+        done;
+        if !k < n then begin
+          record_branch k_other pairs.(!k);
+          next := tgts.(!k)
+        end
+        else begin
+          record_branch k_other dpair;
+          next := dflt
+        end
     | DInc c ->
-        charge 5;
-        counters.(c) <- Int64.add counters.(c) 1L
-    | DValprof (site, o) ->
-        charge 5;
-        let v = eval fr o in
+        cycles := !cycles + 5;
+        counters.(c) <- counters.(c) + 1
+    | DValprof { site; a } ->
+        cycles := !cycles + 5;
+        let v = read m fb w kpool a in
         let tbl =
           match Hashtbl.find_opt value_profiles site with
           | Some tbl -> tbl
@@ -494,15 +668,12 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
         in
         Hashtbl.replace tbl v
           (Int64.add 1L (Option.value (Hashtbl.find_opt tbl v) ~default:0L))
-    | DNop -> charge 1);
+    | DNop -> incr cycles);
     ip := !next;
     (* Sampling: fire when the cycle counter crosses the period. *)
-    if !running && Int64.compare !cycles !next_sample >= 0 then begin
+    if !running && !cycles >= !next_sample then begin
       take_sample ();
-      (match pmu with
-      | Some p when p.sample_period > 0 ->
-          next_sample := Int64.add !next_sample (Int64.of_int p.sample_period)
-      | _ -> next_sample := Int64.max_int)
+      next_sample := if period > 0 then !next_sample + period else max_int
     end
   done;
   (* Telemetry fires once per run, off the interpreter loop. The rate
@@ -513,23 +684,23 @@ let run ?(pmu = Some default_pmu) ?(globals_init = []) ?(args = []) ?(count_addr
       let module M = Csspgo_obs.Metrics in
       M.incr (M.counter m "vm.runs");
       M.bump (M.counter m "vm.samples-flushed") !n_samples;
-      M.bump (M.counter m "vm.instructions") (Int64.to_int !instructions);
-      M.bump (M.counter m "vm.cycles") (Int64.to_int !cycles);
-      if !n_samples > 0 && Int64.compare !cycles 0L > 0 then
-        M.observe
-          (M.histogram m "vm.samples-per-mcycle")
-          (Int64.to_int (Int64.div (Int64.mul (Int64.of_int !n_samples) 1_000_000L) !cycles))
+      M.bump (M.counter m "vm.instructions") !instructions;
+      M.bump (M.counter m "vm.cycles") !cycles;
+      if !n_samples > 0 && !cycles > 0 then
+        M.observe (M.histogram m "vm.samples-per-mcycle") (!n_samples * 1_000_000 / !cycles)
   | _ -> ());
   {
-    cycles = !cycles;
-    instructions = !instructions;
+    cycles = Int64.of_int !cycles;
+    instructions = Int64.of_int !instructions;
     ret_value = !ret_value;
     samples = List.rev !collected;
     n_samples = !n_samples;
-    counters;
-    icache_misses = !icache_misses;
-    taken_branches = !taken_branches;
-    mispredicts = !mispredicts;
+    (* Zero counters stay the one shared [0L] box: marshaled profiles
+       (instr-PGO's correlate payload) encode shared boxes as
+       back-references, so fresh zero boxes would change their bytes. *)
+    counters = Array.map (fun c -> if c = 0 then 0L else Int64.of_int c) counters;
+    icache_misses = Int64.of_int !icache_misses;
+    taken_branches = Int64.of_int !taken_branches;
+    mispredicts = Int64.of_int !mispredicts;
     value_profiles;
-    addr_counts;
   }

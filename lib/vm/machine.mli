@@ -14,7 +14,15 @@
     the LBR by one control transfer with probability [skid_prob] — the
     sampling-skid artifact of §III.B. Frames entered through tail calls
     replace their caller, so the caller is missing from the walk (the
-    TCE missing-frame problem). *)
+    TCE missing-frame problem).
+
+    Allocation contract: interpreting an instruction allocates nothing,
+    except a value-profile hit (its histogram stores boxed values) and the
+    first return from a given [ret] instruction to a given return point
+    (which builds that LBR record once; every static branch's record is
+    built at decode). Counters are native ints, registers, spill slots
+    and globals unboxed int64 words, frames a pooled stack. Per run, the
+    cost is the decode, the frame pool and the result. *)
 
 type pmu = {
   sample_period : int;  (** cycles between samples; 0 disables sampling *)
@@ -62,13 +70,15 @@ type result = {
   ret_value : int64;
   samples : sample list;       (** in collection order; [] when a sink is given *)
   n_samples : int;             (** samples taken (counted in sink mode too) *)
-  counters : int64 array;      (** instrumentation counters *)
+  counters : int64 array;
+      (** instrumentation counters; every zero entry is the one shared
+          [0L], as [Array.make n 0L] gives (marshaled payloads encode
+          shared boxes once, so their bytes depend on it) *)
   icache_misses : int64;
   taken_branches : int64;
   mispredicts : int64;   (** per-branch 2-bit dynamic predictor misses *)
   value_profiles : (int, (int64, int64) Hashtbl.t) Hashtbl.t;
       (** per-site value histograms from [Val_prof] instrumentation *)
-  addr_counts : (int, int64) Hashtbl.t option;  (** exact, when requested *)
 }
 
 exception Trap of string
@@ -78,7 +88,6 @@ val run :
   ?pmu:pmu option ->
   ?globals_init:(string * int64 array) list ->
   ?args:int64 list ->
-  ?count_addrs:bool ->
   ?fuel:int64 ->
   ?sink:sink ->
   ?labels:Csspgo_support.Label_set.t ->
@@ -87,7 +96,10 @@ val run :
   Csspgo_codegen.Mach.binary ->
   entry:string ->
   result
-(** Execute [entry] with [args]. Globals not listed in [globals_init] are
+(** Execute [entry] with [args]. [fuel] (default 2e9) bounds the number of
+    instructions: the run traps before executing instruction [fuel + 1], so
+    [~fuel:0L] traps before the first one; budgets beyond [max_int]
+    saturate. Globals not listed in [globals_init] are
     zero-initialized at their declared sizes; listed arrays override
     contents (truncated/padded to the declared size).
 

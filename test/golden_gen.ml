@@ -94,6 +94,109 @@ let cslg () =
   add [] [ 50 ];
   log
 
+(* VM digest: every suite workload's train and eval specs, each run under
+   four PMU modes (off, PEBS, no-PEBS with skid, 32-deep LBR), print one
+   line of the run's counters plus an FNV-1a digest of the full sample
+   stream (every LBR pair and stack address, in delivery order). An
+   instrumented build adds its counter array and sorted value-profile
+   histograms. Any change to the interpreter's cycle model, branch
+   recording or sampling shows up as a line diff. *)
+module Core = Csspgo_core
+module Vm_run = Vm.Machine
+
+let vm_build ~instr src =
+  let p = Csspgo_frontend.Lower.compile src in
+  if instr then begin
+    ignore (Core.Instrument.instrument p);
+    ignore (Core.Instrument.instrument_values p)
+  end
+  else Core.Pseudo_probe.insert p;
+  Csspgo_opt.Pass.optimize ~config:Csspgo_opt.Config.o2_nopgo p;
+  Csspgo_codegen.Emit.emit ~options:Csspgo_codegen.Emit.default_options p
+
+let vm_modes =
+  let d = Vm_run.default_pmu in
+  [
+    ("off", None);
+    ("pebs", Some d);
+    ("skid", Some { d with Vm_run.pebs = false });
+    ("lbr32", Some { d with Vm_run.lbr_depth = 32 });
+  ]
+
+let vm_digest () =
+  let buf = Buffer.create 4096 in
+  let module F = Csspgo_support.Fnv in
+  List.iter
+    (fun (w : Core.Driver.workload) ->
+      let bin = vm_build ~instr:false w.Core.Driver.w_source in
+      let sets = [ ("train", w.Core.Driver.w_train); ("eval", w.Core.Driver.w_eval) ] in
+      List.iter
+        (fun (set, specs) ->
+          List.iter
+            (fun (mode, pmu) ->
+              let h = ref F.init in
+              let sink =
+                {
+                  Vm_run.on_sample =
+                    (fun ~lbr ~lbr_len ~stack ~stack_len ->
+                      h := F.int !h lbr_len;
+                      for i = 0 to lbr_len - 1 do
+                        let s, t = lbr.(i) in
+                        h := F.int (F.int !h s) t
+                      done;
+                      h := F.int !h stack_len;
+                      for i = 0 to stack_len - 1 do
+                        h := F.int !h stack.(i)
+                      done);
+                  on_labels = Vm_run.no_labels;
+                }
+              in
+              List.iteri
+                (fun k (spec : Core.Driver.run_spec) ->
+                  let r =
+                    Vm_run.run ~pmu ~sink ~globals_init:spec.Core.Driver.rs_globals
+                      ~args:spec.Core.Driver.rs_args bin ~entry:w.Core.Driver.w_entry
+                  in
+                  Printf.bprintf buf
+                    "%s %s#%d %s cycles=%Ld instructions=%Ld icache_misses=%Ld \
+                     taken=%Ld mispredicts=%Ld samples=%d ret=%Ld stream=%016Lx\n"
+                    w.Core.Driver.w_name set k mode r.Vm_run.cycles r.Vm_run.instructions
+                    r.Vm_run.icache_misses r.Vm_run.taken_branches r.Vm_run.mispredicts
+                    r.Vm_run.n_samples r.Vm_run.ret_value !h)
+                specs)
+            vm_modes)
+        sets;
+      (* Instrumented build, PMU off: exact counters and value profiles. *)
+      let ibin = vm_build ~instr:true w.Core.Driver.w_source in
+      List.iteri
+        (fun k (spec : Core.Driver.run_spec) ->
+          let r =
+            Vm_run.run ~pmu:None ~globals_init:spec.Core.Driver.rs_globals
+              ~args:spec.Core.Driver.rs_args ibin ~entry:w.Core.Driver.w_entry
+          in
+          Printf.bprintf buf "%s train#%d instr cycles=%Ld instructions=%Ld ret=%Ld\n"
+            w.Core.Driver.w_name k r.Vm_run.cycles r.Vm_run.instructions r.Vm_run.ret_value;
+          Printf.bprintf buf "  counters";
+          Array.iter (fun c -> Printf.bprintf buf " %Ld" c) r.Vm_run.counters;
+          Buffer.add_char buf '\n';
+          let sites =
+            List.sort compare
+              (Hashtbl.fold (fun s _ acc -> s :: acc) r.Vm_run.value_profiles [])
+          in
+          List.iter
+            (fun site ->
+              let hist = Hashtbl.find r.Vm_run.value_profiles site in
+              let kvs =
+                List.sort compare (Hashtbl.fold (fun v c acc -> (v, c) :: acc) hist [])
+              in
+              Printf.bprintf buf "  valprof site=%d" site;
+              List.iter (fun (v, c) -> Printf.bprintf buf " %Ld:%Ld" v c) kvs;
+              Buffer.add_char buf '\n')
+            sites)
+        w.Core.Driver.w_train)
+    Csspgo_workloads.Suite.all;
+  Buffer.contents buf
+
 let () =
   set_binary_mode_out stdout true;
   match Sys.argv.(1) with
@@ -106,7 +209,8 @@ let () =
   | "cslg-v3" -> print_string (Vm.Sample_log.encode ~chunk:2 (cslg ()))
   | "cslg-v2" ->
       print_string (Vm.Sample_log.encode ~chunk:2 (Vm.Sample_log.unlabeled (cslg ())))
+  | "vm" -> print_string (vm_digest ())
   | s -> failwith ("golden_gen: unknown kind " ^ s)
   | exception _ ->
       failwith
-        "usage: golden_gen (probe|ctx|line|probe-bin|ctx-bin|line-bin|cslg-v3|cslg-v2)"
+        "usage: golden_gen (probe|ctx|line|probe-bin|ctx-bin|line-bin|cslg-v3|cslg-v2|vm)"

@@ -45,6 +45,100 @@ let test_fuel_trap () =
     | exception Vm.Machine.Trap _ -> true
     | _ -> false)
 
+let test_fuel_edges () =
+  (* [return 7] is a single [ret]: one unit of fuel runs it, none traps
+     before it executes. *)
+  let bin = build "fn main() { return 7; }" in
+  Alcotest.(check int) "single instruction" 1 (Array.length bin.Mach.insts);
+  let run fuel = Vm.Machine.run ~pmu:None ~fuel bin ~entry:"main" in
+  Alcotest.(check int64) "fuel 1 runs" 7L (run 1L).Vm.Machine.ret_value;
+  List.iter
+    (fun fuel ->
+      Alcotest.(check bool)
+        (Printf.sprintf "fuel %Ld traps" fuel)
+        true
+        (match run fuel with exception Vm.Machine.Trap _ -> true | _ -> false))
+    [ 0L; -1L; Int64.min_int ];
+  (* The largest budget must not wrap into an immediate trap. *)
+  let loop =
+    build "fn main(a) { let s = 0; let i = 0; while (i < a) { s = s + i; i = i + 1; } return s; }"
+  in
+  let r = Vm.Machine.run ~pmu:None ~fuel:Int64.max_int loop ~entry:"main" ~args:[ 1000L ] in
+  Alcotest.(check int64) "fuel max_int runs" 499500L r.Vm.Machine.ret_value;
+  let exact = Vm.Machine.run ~pmu:None ~fuel:r.Vm.Machine.instructions loop ~entry:"main" ~args:[ 1000L ] in
+  Alcotest.(check int64) "fuel = instruction count suffices" 499500L exact.Vm.Machine.ret_value;
+  Alcotest.(check bool) "one short traps" true
+    (match
+       Vm.Machine.run ~pmu:None ~fuel:(Int64.pred r.Vm.Machine.instructions) loop ~entry:"main"
+         ~args:[ 1000L ]
+     with
+    | exception Vm.Machine.Trap _ -> true
+    | _ -> false)
+
+(* The interpreter evaluates ALU ops itself (unboxed); its semantics must be
+   the constant folder's, [Ir.Types.eval_binop] / [eval_cmpop]. Operands
+   are [main]'s arguments so nothing folds at compile time. *)
+let arith_programs =
+  lazy
+    (let binops =
+       Ir.Types.
+         [
+           (Add, "+"); (Sub, "-"); (Mul, "*"); (Div, "/"); (Rem, "%"); (And, "&"); (Or, "|");
+           (Xor, "^"); (Shl, "<<"); (Shr, ">>");
+         ]
+     and cmpops =
+       Ir.Types.[ (Eq, "=="); (Ne, "!="); (Lt, "<"); (Le, "<="); (Gt, ">"); (Ge, ">=") ]
+     in
+     let prog sym = build (Printf.sprintf "fn main(a, b) { return a %s b; }" sym) in
+     let has_op bin pred =
+       Array.exists (fun (i : Mach.inst) -> pred i.Mach.i_op) bin.Mach.insts
+     in
+     List.map
+       (fun (op, sym) ->
+         let bin = prog sym in
+         if not (has_op bin (function Mach.MArith (o, _, _, _) -> o = op | _ -> false)) then
+           Alcotest.failf "no %s instruction in the compiled program" sym;
+         (sym, bin, Ir.Types.eval_binop op))
+       binops
+     @ List.map
+         (fun (op, sym) ->
+           let bin = prog sym in
+           if not (has_op bin (function Mach.MCmp (o, _, _, _) -> o = op | _ -> false)) then
+             Alcotest.failf "no %s instruction in the compiled program" sym;
+           (sym, bin, Ir.Types.eval_cmpop op))
+         cmpops)
+
+let prop_arith_matches_ir =
+  let edge = [ 0L; 1L; -1L; 2L; 63L; 64L; 65L; -63L; -64L; 127L; Int64.min_int; Int64.max_int ] in
+  let operand = QCheck.Gen.(frequency [ (1, oneofl edge); (1, int64); (1, map Int64.of_int small_signed_int) ]) in
+  let n_ops = 16 in
+  QCheck.Test.make ~name:"vm binop/cmpop = Ir.Types.eval_*" ~count:500
+    (QCheck.make
+       ~print:(fun (k, a, b) -> Printf.sprintf "op#%d a=%Ld b=%Ld" k a b)
+       QCheck.Gen.(triple (int_bound (n_ops - 1)) operand operand))
+    (fun (k, a, b) ->
+      let sym, bin, eval = List.nth (Lazy.force arith_programs) k in
+      let got = (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ a; b ]).Vm.Machine.ret_value in
+      let want = eval a b in
+      if Int64.equal got want then true
+      else QCheck.Test.fail_reportf "%Ld %s %Ld: vm %Ld, ir %Ld" a sym b got want)
+
+let test_arith_edges () =
+  let edge = [ 0L; -1L; 1L; 63L; 64L; -1L; -64L; Int64.min_int; Int64.max_int ] in
+  List.iter
+    (fun (sym, bin, eval) ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              Alcotest.(check int64)
+                (Printf.sprintf "%Ld %s %Ld" a sym b)
+                (eval a b)
+                (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ a; b ]).Vm.Machine.ret_value)
+            edge)
+        edge)
+    (Lazy.force arith_programs)
+
 let test_lbr_records_branches () =
   let bin = build "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
   let r =
@@ -179,7 +273,17 @@ let test_tail_call_semantics () =
   let src = "fn down(n, acc) { if (n <= 0) { return acc; } return down(n - 1, acc + n); }\nfn main(a) { return down(a, 0); }" in
   let bin = build src in
   Alcotest.(check int64) "sum 1..1000" 500500L
-    (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ 1000L ]).Vm.Machine.ret_value
+    (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ 1000L ]).Vm.Machine.ret_value;
+  (* The tail call swaps its parameters: arguments must all be read from
+     the caller before the reused frame is overwritten. *)
+  let src = "fn gcd(a, b) { if (b == 0) { return a; } return gcd(b, a % b); }\nfn main(a, b) { return gcd(a, b); }" in
+  let bin = build src in
+  Alcotest.(check bool) "gcd is a tail call" true
+    (Array.exists
+       (fun (i : Mach.inst) -> match i.Mach.i_op with Mach.MTail_call _ -> true | _ -> false)
+       bin.Mach.insts);
+  Alcotest.(check int64) "gcd 1071 462" 21L
+    (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ 1071L; 462L ]).Vm.Machine.ret_value
 
 let test_lbr_depth_config () =
   let src = "fn main(n) { let s = 0; let i = 0; while (i < n) { s = s + i; i = i + 1; } return s; }" in
@@ -241,6 +345,9 @@ let suite =
       Alcotest.test_case "division by zero" `Quick test_division_by_zero_total;
       Alcotest.test_case "array wrapping" `Quick test_array_wraps;
       Alcotest.test_case "fuel trap" `Quick test_fuel_trap;
+      Alcotest.test_case "fuel edges" `Quick test_fuel_edges;
+      Alcotest.test_case "arith edge values" `Quick test_arith_edges;
+      QCheck_alcotest.to_alcotest prop_arith_matches_ir;
       Alcotest.test_case "lbr records" `Quick test_lbr_records_branches;
       Alcotest.test_case "stack samples" `Quick test_stack_samples_have_callers;
       Alcotest.test_case "counters exact" `Quick test_counters_exact;
