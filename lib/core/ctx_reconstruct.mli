@@ -26,13 +26,31 @@ type stats = {
 type stream
 (** Online reconstruction state. [start] once per profiled binary, [feed]
     each sample (scratch-safe: only ints are read out of the buffers),
-    [finish] for the trie + stats. All per-LBR-entry work (branch
-    classification, call-before resolution, inline level paths) runs on the
-    dense {!Csspgo_profgen.Bindex} tables — no hash lookups on the sample
-    path. With missing-frame inference the [Missing_frame.t] passed to
-    [start] must already be complete (built online during the profiling run
-    and finished before the first [feed]); path uniqueness depends on the
-    whole edge table. *)
+    [finish] for the trie + stats. With missing-frame inference the
+    [Missing_frame.t] passed to [start] must already be complete (built
+    online during the profiling run and finished before the first [feed]);
+    path uniqueness depends on the whole edge table.
+
+    Caller stacks are resolved incrementally. A caller state (the
+    reconstructed path of a caller-stack prefix, the function its innermost
+    call targets, and the gap-counter deltas bridging it costs) is
+    hash-consed on (outer state, return address), so samples sharing a
+    caller prefix share it; the LBR walk keeps a stack of states, popping
+    one to undo a call and stepping one to undo a return. Branch
+    classification, call-before resolution and inline level paths read the
+    dense {!Csspgo_profgen.Bindex} tables; each step, each range [(lo, hi)]
+    and each (caller state, range) attribution is one int-keyed hash probe.
+    Path frames resolve their trie node lazily, so the trie holds exactly
+    the nodes some probe hit or callsite target reached.
+
+    Allocation contract: the attribution of a (caller state, range) pair
+    is memoized (up to 2^16 pairs) as its trie bumps and gap deltas. A
+    memo hit reached through interned states allocates nothing: it adds
+    the gap deltas and counts one repeat, and [finish] applies each pair's
+    bumps once, scaled by its repeats. A miss, or a step to a caller state
+    not seen before, allocates its path frames and bumps once, and applies
+    the bumps at once (so trie nodes and count keys are created in sample
+    order). *)
 
 val start :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->
@@ -52,10 +70,6 @@ val finish : stream -> Csspgo_profile.Ctx_profile.t * stats
     [ctx.gaps-failed], [ctx.inferred-frames] counters and the
     [ctx.context-depth] histogram (stack depth per aligned sample).
     Observation never changes attribution. *)
-
-val sink : stream -> Csspgo_vm.Machine.sink
-(** Attach reconstruction directly to a live PMU (only sound when no
-    missing-frame table is in play, or it was built by an earlier run). *)
 
 val reconstruct :
   ?name_of:(Csspgo_ir.Guid.t -> string option) ->

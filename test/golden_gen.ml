@@ -197,6 +197,112 @@ let vm_digest () =
     Csspgo_workloads.Suite.all;
   Buffer.contents buf
 
+(* Context-reconstruction digest: every suite workload's probed profiling
+   build (the driver's default recipe) plus a no-inline adfinder build,
+   whose tail calls leave real frame gaps. Each is sampled over its train
+   specs under PEBS and under no-PEBS skid, and Algorithm 1 replays the
+   log with missing-frame inference on and off. One line per case: the
+   FNV of the canonical Text_io context text, the four reconstruction
+   stats, the inferred-frames counter and the context-depth histogram.
+   The same case run through [Par_corr] at three shards must print the
+   same line. *)
+let ctx_digest () =
+  let module D = Core.Driver in
+  let module Pg = Csspgo_profgen in
+  let module M = Csspgo_obs.Metrics in
+  let module F = Csspgo_support.Fnv in
+  let buf = Buffer.create 4096 in
+  let d = D.default_options in
+  let no_inline = { d.D.opt_profiling with Csspgo_opt.Config.inline_mode = Csspgo_opt.Config.Inline_none } in
+  let builds =
+    List.map (fun w -> (w, "o2", d.D.opt_profiling)) Csspgo_workloads.Suite.all
+    @ [ (Csspgo_workloads.Suite.adfinder, "noinline", no_inline) ]
+  in
+  let pmus = [ ("pebs", d.D.pmu); ("skid", { d.D.pmu with Vm_run.pebs = false }) ] in
+  List.iter
+    (fun ((w : D.workload), build, config) ->
+      let refp = Csspgo_frontend.Lower.compile w.D.w_source in
+      Core.Pseudo_probe.insert refp;
+      let prog = Csspgo_ir.Program.copy refp in
+      Csspgo_opt.Pass.optimize ~config prog;
+      let bin = Csspgo_codegen.Emit.emit ~options:d.D.emit_opts prog in
+      let ix = Pg.Bindex.create bin in
+      let find = Csspgo_ir.Program.find_func_by_guid refp in
+      let name_of g = Option.map (fun f -> f.Csspgo_ir.Func.name) (find g) in
+      let checksum_of g =
+        match find g with Some f -> f.Csspgo_ir.Func.checksum | None -> 0L
+      in
+      List.iter
+        (fun (mode, pmu) ->
+          let log = Vm.Sample_log.create () in
+          List.iter
+            (fun (spec : D.run_spec) ->
+              ignore
+                (Vm_run.run ~pmu:(Some pmu) ~sink:(Vm.Sample_log.sink log)
+                   ~globals_init:spec.D.rs_globals ~args:spec.D.rs_args bin
+                   ~entry:w.D.w_entry))
+            w.D.w_train;
+          let mf =
+            let b = Core.Missing_frame.start ix in
+            Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack:_ ~stack_len:_ ->
+                Core.Missing_frame.feed b ~lbr ~lbr_len);
+            Core.Missing_frame.finish b
+          in
+          List.iter
+            (fun mf_on ->
+              let missing = if mf_on then Some mf else None in
+              let line (trie, (s : Core.Ctx_reconstruct.stats)) obs =
+                let snap = M.snapshot obs in
+                let inferred =
+                  Option.value (M.find_counter snap "ctx.inferred-frames") ~default:0
+                in
+                let depth =
+                  match M.find_histogram snap "ctx.context-depth" with
+                  | None -> "-"
+                  | Some h ->
+                      Printf.sprintf "n%d/s%d/%s" h.M.h_count h.M.h_sum
+                        (String.concat ","
+                           (List.map (fun (b, c) -> Printf.sprintf "%d:%d" b c) h.M.h_nonzero))
+                in
+                Printf.sprintf
+                  "%s %s %s mf=%s text=%016Lx samples=%d dropped=%d resolved=%d \
+                   failed=%d inferred=%d depth=%s"
+                  w.D.w_name build mode
+                  (if mf_on then "on" else "off")
+                  (F.hash_string (P.Text_io.to_string (P.Text_io.Ctx_prof trie)))
+                  s.Core.Ctx_reconstruct.st_samples s.Core.Ctx_reconstruct.st_dropped_misaligned
+                  s.Core.Ctx_reconstruct.st_gaps_resolved s.Core.Ctx_reconstruct.st_gaps_failed
+                  inferred depth
+              in
+              let serial =
+                let obs = M.create ~shards:1 () in
+                let st = Core.Ctx_reconstruct.start ~name_of ?missing ~checksum_of ~obs ix in
+                Vm.Sample_log.iter log (fun ~lbr ~lbr_len ~stack ~stack_len ->
+                    Core.Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
+                let ((_, s) as r) = Core.Ctx_reconstruct.finish st in
+                if build = "noinline" && mf_on && s.Core.Ctx_reconstruct.st_gaps_resolved = 0
+                then failwith "ctx-digest: no-inline adfinder resolved no tail-call gap";
+                line r obs
+              in
+              let sharded =
+                let obs = M.create ~shards:1 () in
+                let chunk = (Vm.Sample_log.n_samples log + 2) / 3 in
+                let shards = Core.Par_corr.shards_of_log ~chunk log in
+                if List.length shards <> 3 then failwith "ctx-digest: expected three shards";
+                line
+                  (Core.Par_corr.reconstruct ~name_of ?missing ~checksum_of ~obs ~jobs:3 ix
+                     shards)
+                  obs
+              in
+              Buffer.add_string buf serial;
+              Buffer.add_char buf '\n';
+              if not (String.equal serial sharded) then
+                Printf.bprintf buf "par3 differs: %s\n" sharded)
+            [ true; false ])
+        pmus)
+    builds;
+  Buffer.contents buf
+
 let () =
   set_binary_mode_out stdout true;
   match Sys.argv.(1) with
@@ -210,7 +316,8 @@ let () =
   | "cslg-v2" ->
       print_string (Vm.Sample_log.encode ~chunk:2 (Vm.Sample_log.unlabeled (cslg ())))
   | "vm" -> print_string (vm_digest ())
+  | "ctx-digest" -> print_string (ctx_digest ())
   | s -> failwith ("golden_gen: unknown kind " ^ s)
   | exception _ ->
       failwith
-        "usage: golden_gen (probe|ctx|line|probe-bin|ctx-bin|line-bin|cslg-v3|cslg-v2|vm)"
+        "usage: golden_gen (probe|ctx|line|probe-bin|ctx-bin|line-bin|cslg-v3|cslg-v2|vm|ctx-digest)"

@@ -533,6 +533,258 @@ let test_skid_drops_samples () =
   Alcotest.(check bool) "skid causes drops" true
     (stats.Core.Ctx_reconstruct.st_dropped_misaligned > 0)
 
+(* Feed-level Algorithm 1: hand-built LBR/stack samples over a no-inline
+   build, checked against the exact trie they must produce. [spring]
+   tail-calls [mid], so a stack that passes through it has a frame gap. *)
+let feed_src = {|
+fn leaf(x) { let s = 0; let i = 0; while (i < x) { s = s + i * x; i = i + 1; } return s; }
+fn mid(x) { let r = leaf(x); return r + 1; }
+fn spring(x) { return mid(x + 1); }
+fn jump(x) { let r = spring(x); return r + 2; }
+fn outer(x) { let r = leaf(x); return r + 4; }
+fn deep(x) { if (x <= 0) { let z = leaf(3); return z + 5; } let r = deep(x - 1); return r + 1; }
+fn main(n) { let a = jump(n); let b = outer(n); let c = deep(n); return a + b + c; }
+|}
+
+type feed_fixture = {
+  fx_bin : Mach.binary;
+  fx_ix : Csspgo_profgen.Bindex.t;
+  fx_name_of : Ir.Guid.t -> string option;
+  fx_checksum_of : Ir.Guid.t -> int64;
+}
+
+let feed_fixture =
+  lazy
+    (let p = F.Lower.compile feed_src in
+     Core.Pseudo_probe.insert p;
+     let refp = Ir.Program.copy p in
+     Opt.Pass.optimize ~config:{ Opt.Config.o2_nopgo with inline_mode = Opt.Config.Inline_none } p;
+     let bin = Cg.Emit.emit ~options:Cg.Emit.default_options p in
+     let find = Ir.Program.find_func_by_guid refp in
+     {
+       fx_bin = bin;
+       fx_ix = Csspgo_profgen.Bindex.create bin;
+       fx_name_of = (fun g -> Option.map (fun f -> f.Ir.Func.name) (find g));
+       fx_checksum_of = (fun g -> match find g with Some f -> f.Ir.Func.checksum | None -> 0L);
+     })
+
+let entry fx name =
+  match Mach.entry_addr fx.fx_bin (Ir.Guid.of_name name) with
+  | Some a -> a
+  | None -> Alcotest.failf "no function %s" name
+
+(* The (call address, return address) of [caller]'s call to [callee]. *)
+let call_site fx ~tail caller callee =
+  let insts = fx.fx_bin.Mach.insts in
+  let found = ref None in
+  Array.iteri
+    (fun i (inst : Mach.inst) ->
+      let in_caller = String.equal fx.fx_bin.Mach.funcs.(inst.Mach.i_func).Mach.bf_name caller in
+      match inst.Mach.i_op with
+      | (Mach.MCall c | Mach.MTail_call c)
+        when in_caller && !found = None
+             && String.equal c.Mach.m_callee_name callee
+             && (match inst.Mach.i_op with Mach.MTail_call _ -> tail | _ -> not tail) ->
+          found := Some (inst.Mach.i_addr, if i + 1 < Array.length insts then insts.(i + 1).Mach.i_addr else -1)
+      | _ -> ())
+    insts;
+  match !found with
+  | Some s -> s
+  | None -> Alcotest.failf "no %scall %s -> %s" (if tail then "tail " else "") caller callee
+
+let ret_of fx name =
+  let fi = ref (-1) in
+  Array.iteri (fun i (f : Mach.bfunc) -> if String.equal f.Mach.bf_name name then fi := i) fx.fx_bin.Mach.funcs;
+  match
+    Array.find_opt
+      (fun (inst : Mach.inst) ->
+        inst.Mach.i_func = !fi && match inst.Mach.i_op with Mach.MRet _ -> true | _ -> false)
+      fx.fx_bin.Mach.insts
+  with
+  | Some inst -> inst.Mach.i_addr
+  | None -> Alcotest.failf "no ret in %s" name
+
+let n_probes fx range = List.length (Core.Probe_corr.probes_in_range fx.fx_bin range)
+
+(* Feed hand-built samples; return the trie rendered one line per node
+   ("ctx funcs total"), the stats and the metrics snapshot. *)
+let feed_samples ?missing fx samples =
+  let obs = Csspgo_obs.Metrics.create ~shards:1 () in
+  let st =
+    Core.Ctx_reconstruct.start ~name_of:fx.fx_name_of ?missing ~checksum_of:fx.fx_checksum_of ~obs
+      fx.fx_ix
+  in
+  List.iter
+    (fun (lbr, stack) ->
+      let lbr = Array.of_list lbr and stack = Array.of_list stack in
+      Core.Ctx_reconstruct.feed st ~lbr ~lbr_len:(Array.length lbr) ~stack
+        ~stack_len:(Array.length stack))
+    samples;
+  let trie, stats = Core.Ctx_reconstruct.finish st in
+  let name g = Option.value (fx.fx_name_of g) ~default:"?" in
+  let nodes = ref [] in
+  CP.iter_nodes trie (fun ctx node ->
+      nodes :=
+        Printf.sprintf "%s %Ld"
+          (String.concat "@" (List.map (fun (f, _) -> name f) ctx @ [ node.CP.n_name ]))
+          node.CP.n_prof.PP.fe_total
+        :: !nodes);
+  (trie, List.sort compare !nodes, stats, Csspgo_obs.Metrics.snapshot obs)
+
+let check_stats (s : Core.Ctx_reconstruct.stats) (samples, dropped, resolved, failed) =
+  Alcotest.(check (list int))
+    "samples/dropped/resolved/failed" [ samples; dropped; resolved; failed ]
+    Core.Ctx_reconstruct.
+      [ s.st_samples; s.st_dropped_misaligned; s.st_gaps_resolved; s.st_gaps_failed ]
+
+let nodes = Alcotest.(check (list string)) "trie nodes"
+
+let test_feed_push_pop () =
+  (* main calls outer, outer calls leaf, leaf returns: undoing the return
+     pushes outer->leaf, undoing outer's call pops back to main->outer. *)
+  let fx = Lazy.force feed_fixture in
+  let c_main, ra_main = call_site fx ~tail:false "main" "outer" in
+  let c_outer, ra_outer = call_site fx ~tail:false "outer" "leaf" in
+  let r_leaf = ret_of fx "leaf" in
+  let lbr = [ (c_main, entry fx "outer"); (c_outer, entry fx "leaf"); (r_leaf, ra_outer) ] in
+  (* Three copies: the repeats must count like the first occurrence. *)
+  let trie, got, stats, _ = feed_samples fx (List.init 3 (fun _ -> (lbr, [ ra_outer; ra_main ]))) in
+  check_stats stats (3, 0, 0, 0);
+  let outer_n = 3 * (n_probes fx (ra_outer, ra_outer) + n_probes fx (entry fx "outer", c_outer)) in
+  let leaf_n = 3 * n_probes fx (entry fx "leaf", r_leaf) in
+  Alcotest.(check bool) "ranges hold probes" true (outer_n > 0 && leaf_n > 0);
+  nodes
+    [ "main 0"; Printf.sprintf "main@outer %d" outer_n; Printf.sprintf "main@outer@leaf %d" leaf_n ]
+    got;
+  (* outer's call to leaf lies in the popped-to range and counts there. *)
+  match CP.find_node trie ~leaf:(Ir.Guid.of_name "outer") (fun _ -> true) with
+  | None -> Alcotest.fail "no outer node"
+  | Some n ->
+      let site = (Mach.inst_at fx.fx_bin c_outer |> Option.get).Mach.i_cs_probe in
+      Alcotest.(check (list (pair string int64)))
+        "outer's call counted" [ ("leaf", 3L) ]
+        (List.map
+           (fun (g, c) -> (Option.value (fx.fx_name_of g) ~default:"?", c))
+           (PP.call_counts n.CP.n_prof site))
+
+let test_feed_pop_empty () =
+  (* A sample with no callers whose LBR still holds a call: undoing it
+     leaves the empty caller stack empty, so both ranges land in base
+     profiles. *)
+  let fx = Lazy.force feed_fixture in
+  let c_main, _ = call_site fx ~tail:false "main" "outer" in
+  let lbr = [ (1, entry fx "main"); (c_main, entry fx "outer") ] in
+  let _, got, stats, _ = feed_samples fx [ (lbr, [ entry fx "outer" ]) ] in
+  check_stats stats (1, 0, 0, 0);
+  nodes
+    [
+      Printf.sprintf "main %d" (n_probes fx (entry fx "main", c_main));
+      Printf.sprintf "outer %d" (n_probes fx (entry fx "outer", entry fx "outer"));
+    ]
+    got
+
+let test_feed_deep_stack () =
+  (* 69 recursive deep frames under main: the context is kept whole, the
+     depth histogram clamps the observation to 63. *)
+  let fx = Lazy.force feed_fixture in
+  let _, ra_main = call_site fx ~tail:false "main" "deep" in
+  let _, ra_deep = call_site fx ~tail:false "deep" "deep" in
+  let c_leaf, ra_leaf = call_site fx ~tail:false "deep" "leaf" in
+  let stack = (entry fx "leaf" :: ra_leaf :: List.init 68 (fun _ -> ra_deep)) @ [ ra_main ] in
+  Alcotest.(check int) "stack depth" 71 (List.length stack);
+  let _, got, stats, snap =
+    feed_samples fx [ ([ (c_leaf, entry fx "leaf") ], stack) ]
+  in
+  check_stats stats (1, 0, 0, 0);
+  let chain = String.concat "@" ("main" :: List.init 69 (fun _ -> "deep")) in
+  let chains = List.init 70 (fun k -> String.concat "@" ("main" :: List.init k (fun _ -> "deep"))) in
+  nodes
+    (List.sort compare
+       (Printf.sprintf "%s@leaf %d" chain (n_probes fx (entry fx "leaf", entry fx "leaf"))
+       :: List.map (fun c -> c ^ " 0") chains))
+    got;
+  match Csspgo_obs.Metrics.find_histogram snap "ctx.context-depth" with
+  | None -> Alcotest.fail "no depth histogram"
+  | Some h ->
+      Alcotest.(check (list int)) "clamped to 63" [ 1; 63 ]
+        [ h.Csspgo_obs.Metrics.h_count; h.Csspgo_obs.Metrics.h_sum ]
+
+let test_feed_gaps () =
+  let fx = Lazy.force feed_fixture in
+  let _, ra_main = call_site fx ~tail:false "main" "jump" in
+  let _, ra_jump = call_site fx ~tail:false "jump" "spring" in
+  let c_mid, ra_mid = call_site fx ~tail:false "mid" "leaf" in
+  let t_spring, _ = call_site fx ~tail:true "spring" "mid" in
+  let missing =
+    let b = Core.Missing_frame.start fx.fx_ix in
+    Core.Missing_frame.feed b ~lbr:[| (t_spring, entry fx "mid") |] ~lbr_len:1;
+    Core.Missing_frame.finish b
+  in
+  (* Caller-level gap, resolved: jump calls spring but the next frame is
+     mid (spring tail-called it); the tail-call edge restores spring. *)
+  let _, got, stats, snap =
+    feed_samples ~missing fx
+      [ ([ (c_mid, entry fx "leaf") ], [ entry fx "leaf"; ra_mid; ra_jump; ra_main ]) ]
+  in
+  check_stats stats (1, 0, 1, 0);
+  Alcotest.(check (option int)) "one inferred frame" (Some 1)
+    (Csspgo_obs.Metrics.find_counter snap "ctx.inferred-frames");
+  nodes
+    [
+      "main 0";
+      "main@jump 0";
+      "main@jump@spring 0";
+      "main@jump@spring@mid 0";
+      Printf.sprintf "main@jump@spring@mid@leaf %d" (n_probes fx (entry fx "leaf", entry fx "leaf"));
+    ]
+    got;
+  (* Leaf-level gap, failed: the range runs in mid while jump's call
+     expects spring, and without the table the outer context is cut. *)
+  let _, got, stats, _ =
+    feed_samples fx [ ([ (t_spring, entry fx "mid") ], [ entry fx "mid"; ra_jump; ra_main ]) ]
+  in
+  check_stats stats (1, 0, 0, 1);
+  nodes [ Printf.sprintf "mid %d" (n_probes fx (entry fx "mid", entry fx "mid")) ] got
+
+let test_feed_misaligned () =
+  (* The leaf frame is in outer but the last branch landed in leaf. *)
+  let fx = Lazy.force feed_fixture in
+  let c_outer, ra_outer = call_site fx ~tail:false "outer" "leaf" in
+  let _, got, stats, _ = feed_samples fx [ ([ (c_outer, entry fx "leaf") ], [ ra_outer ]) ] in
+  check_stats stats (1, 1, 0, 0);
+  nodes [] got
+
+let test_feed_repeat_allocates_nothing () =
+  (* A repeated sample whose range bumps nothing runs on interned caller
+     states and a memo hit: the reconstructor allocates no word for it. *)
+  let fx = Lazy.force feed_fixture in
+  let _, ra_main = call_site fx ~tail:false "main" "outer" in
+  let c_outer, ra_outer = call_site fx ~tail:false "outer" "leaf" in
+  let quiet =
+    Array.find_opt
+      (fun (inst : Mach.inst) ->
+        String.equal fx.fx_bin.Mach.funcs.(inst.Mach.i_func).Mach.bf_name "leaf"
+        && n_probes fx (inst.Mach.i_addr, inst.Mach.i_addr) = 0
+        && inst.Mach.i_cs_probe = 0)
+      fx.fx_bin.Mach.insts
+  in
+  let a = match quiet with Some i -> i.Mach.i_addr | None -> Alcotest.fail "no quiet address" in
+  let st =
+    Core.Ctx_reconstruct.start ~name_of:fx.fx_name_of ~checksum_of:fx.fx_checksum_of fx.fx_ix
+  in
+  let lbr = [| (c_outer, a) |] and stack = [| a; ra_outer; ra_main |] in
+  let feed () = Core.Ctx_reconstruct.feed st ~lbr ~lbr_len:1 ~stack ~stack_len:3 in
+  feed ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    feed ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "words per 1000 repeats" 0. (w2 -. w1 -. (w1 -. w0));
+  let _, stats = Core.Ctx_reconstruct.finish st in
+  check_stats stats (1001, 0, 0, 0)
+
 let suite =
   ( "core",
     [
@@ -550,4 +802,10 @@ let suite =
       Alcotest.test_case "value specialization" `Quick test_value_spec;
       Alcotest.test_case "driver all variants" `Slow test_driver_all_variants_smoke;
       Alcotest.test_case "skid detection" `Quick test_skid_drops_samples;
+      Alcotest.test_case "feed: return push, call pop" `Quick test_feed_push_pop;
+      Alcotest.test_case "feed: call pop on empty stack" `Quick test_feed_pop_empty;
+      Alcotest.test_case "feed: stack deeper than 64" `Quick test_feed_deep_stack;
+      Alcotest.test_case "feed: caller and leaf gaps" `Quick test_feed_gaps;
+      Alcotest.test_case "feed: misaligned sample dropped" `Quick test_feed_misaligned;
+      Alcotest.test_case "feed: repeat allocates nothing" `Quick test_feed_repeat_allocates_nothing;
     ] )
