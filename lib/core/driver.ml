@@ -424,17 +424,25 @@ module Plan = struct
      through a tee sink into (a) the range/branch aggregate, (b) the
      missing-frame tail-call table, and (c) a compact flat-int log that
      context reconstruction replays once the missing table is complete.
-     Peak live memory is the aggregate + log words, not boxed samples. *)
-  type profile_run_out = {
+     Peak live memory is the aggregate + log words, not boxed samples.
+
+     The run is memoized as two cache entries. The summary is what every
+     later stage reads; the sampled data is only read by a Correlate stage
+     whose own entry misses, so a warm plan never decodes it. *)
+  type run_summary = {
     pr_bin : Cg.Mach.binary;
+    pr_n_samples : int;
+    pr_log_words : int;
+    pr_cycles : int64;
+    pr_instr : instrumentation option;
+  }
+
+  type run_samples = {
     pr_agg : Pg.Ranges.agg;
     pr_missing : Missing_frame.t option;  (* present when the PMU sampled *)
     pr_log : Vm.Sample_log.t;
-    pr_n_samples : int;
-    pr_cycles : int64;
     pr_counters : int64 array option;
     pr_values : (int, (int64, int64) Hashtbl.t) Hashtbl.t;
-    pr_instr : instrumentation option;
   }
 
   type ref_info = {
@@ -513,83 +521,101 @@ module Plan = struct
       | Compile cs -> compile_spec := Some cs
       | Instrument is -> instr_spec := Some is
       | Profile_run ps ->
-          (* "stream-v2": [profile_run_out] changed shape (aggregates + log
-             instead of a sample list); the version element keeps stale
-             marshaled cache entries from being unsafely decoded. *)
-          let key = [ "stream-v2"; src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
-          prof_key := key;
-          let out =
-            hooks.memo ~kind:"profile-run" ~key ~ser:mser ~de:mde (fun () ->
-                let cs =
-                  match !compile_spec with
-                  | Some cs -> cs
-                  | None -> invalid_arg "Plan.run: Profile_run before Compile"
-                in
-                let prog = Frontend.Lower.compile cs.c_source in
-                if cs.c_probes then Pseudo_probe.insert prog;
-                let instr =
-                  match !instr_spec with
-                  | None -> None
-                  | Some is ->
-                      let im =
-                        if is.i_counters then Instrument.instrument prog
-                        else { Instrument.counter_of = Hashtbl.create 1; n_counters = 0 }
-                      in
-                      let vals =
-                        if is.i_values then Instrument.instrument_values prog
-                        else { Instrument.site_of = Hashtbl.create 1; n_sites = 0 }
-                      in
-                      Some { in_map = im; in_vals = vals }
-                in
-                Opt.Pass.optimize ~config:ps.p_config prog;
-                let bin = Cg.Emit.emit ~options:ps.p_emit prog in
-                let agg = Pg.Ranges.create () in
-                let log = Vm.Sample_log.create () in
-                let mb =
-                  match ps.p_pmu with
-                  | Some _ ->
-                      Some
-                        (Missing_frame.start ~obs:hooks.metrics (Pg.Bindex.create bin))
-                  | None -> None
-                in
-                let sink =
-                  {
-                    Vm.Machine.on_sample =
-                      (fun ~lbr ~lbr_len ~stack ~stack_len ->
-                        Pg.Ranges.feed agg ~lbr ~lbr_len;
-                        (match mb with
-                        | Some mb -> Missing_frame.feed mb ~lbr ~lbr_len
-                        | None -> ());
-                        Vm.Sample_log.add log ~lbr ~lbr_len ~stack ~stack_len);
-                    on_labels = Vm.Sample_log.set_label log;
-                  }
-                in
-                let r =
-                  run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.metrics bin ~entry:ps.p_entry
-                    ps.p_train
-                in
-                Vm.Sample_log.compact log;
-                {
-                  pr_bin = bin;
-                  pr_agg = agg;
-                  pr_missing = Option.map Missing_frame.finish mb;
-                  pr_log = log;
-                  pr_n_samples = r.r_n_samples;
-                  pr_cycles = r.r_cycles;
-                  pr_counters = r.r_counters;
-                  pr_values = r.r_values;
-                  pr_instr = instr;
-                })
+          (* The version elements keep marshaled entries of an older shape
+             from being unsafely decoded. Correlate keys extend [prof_key],
+             which still names the single entry the run once was, so
+             correlated profiles cached before the split stay valid. *)
+          let key = [ src_fp; fp !compile_spec; fp !instr_spec; fp ps ] in
+          prof_key := "stream-v2" :: key;
+          let run_profiling () =
+            let cs =
+              match !compile_spec with
+              | Some cs -> cs
+              | None -> invalid_arg "Plan.run: Profile_run before Compile"
+            in
+            let prog = Frontend.Lower.compile cs.c_source in
+            if cs.c_probes then Pseudo_probe.insert prog;
+            let instr =
+              match !instr_spec with
+              | None -> None
+              | Some is ->
+                  let im =
+                    if is.i_counters then Instrument.instrument prog
+                    else { Instrument.counter_of = Hashtbl.create 1; n_counters = 0 }
+                  in
+                  let vals =
+                    if is.i_values then Instrument.instrument_values prog
+                    else { Instrument.site_of = Hashtbl.create 1; n_sites = 0 }
+                  in
+                  Some { in_map = im; in_vals = vals }
+            in
+            Opt.Pass.optimize ~config:ps.p_config prog;
+            let bin = Cg.Emit.emit ~options:ps.p_emit prog in
+            let agg = Pg.Ranges.create () in
+            let log = Vm.Sample_log.create () in
+            let mb =
+              match ps.p_pmu with
+              | Some _ -> Some (Missing_frame.start ~obs:hooks.metrics (Pg.Bindex.create bin))
+              | None -> None
+            in
+            let sink =
+              {
+                Vm.Machine.on_sample =
+                  (fun ~lbr ~lbr_len ~stack ~stack_len ->
+                    Pg.Ranges.feed agg ~lbr ~lbr_len;
+                    (match mb with
+                    | Some mb -> Missing_frame.feed mb ~lbr ~lbr_len
+                    | None -> ());
+                    Vm.Sample_log.add log ~lbr ~lbr_len ~stack ~stack_len);
+                on_labels = Vm.Sample_log.set_label log;
+              }
+            in
+            let r =
+              run_specs ~pmu:ps.p_pmu ~sink ~obs:hooks.metrics bin ~entry:ps.p_entry ps.p_train
+            in
+            Vm.Sample_log.compact log;
+            ( {
+                pr_bin = bin;
+                pr_n_samples = r.r_n_samples;
+                pr_log_words = Vm.Sample_log.words log;
+                pr_cycles = r.r_cycles;
+                pr_instr = instr;
+              },
+              {
+                pr_agg = agg;
+                pr_missing = Option.map Missing_frame.finish mb;
+                pr_log = log;
+                pr_counters = r.r_counters;
+                pr_values = r.r_values;
+              } )
           in
-          hooks.stat ~name:"profile-run.samples" out.pr_n_samples;
-          hooks.stat ~name:"profile-run.log-words" (Vm.Sample_log.words out.pr_log);
-          prof := Some out
+          let fresh = ref None in
+          let summary =
+            hooks.memo ~kind:"profile-run" ~key:("run-summary-v1" :: key) ~ser:mser ~de:mde
+              (fun () ->
+                let summary, samples = run_profiling () in
+                fresh := Some samples;
+                summary)
+          in
+          (* On a summary hit whose samples entry is gone, the profiling
+             run reruns; it is deterministic, so it rebuilds equal data. *)
+          let samples =
+            lazy
+              (hooks.memo ~kind:"profile-samples" ~key:("run-samples-v1" :: key) ~ser:mser
+                 ~de:mde (fun () ->
+                   match !fresh with Some samples -> samples | None -> snd (run_profiling ())))
+          in
+          hooks.stat ~name:"profile-run.samples" summary.pr_n_samples;
+          hooks.stat ~name:"profile-run.log-words" summary.pr_log_words;
+          prof := Some (summary, samples)
       | Correlate { x_correlator } ->
-          let po =
+          let po, samples =
             match !prof with
-            | Some po -> po
+            | Some p -> p
             | None -> invalid_arg "Plan.run: Correlate before Profile_run"
           in
+          (* Forced only inside the memo thunks below, i.e. on a miss. *)
+          let sampled () = Lazy.force samples in
           (* Dense per-binary index for the streaming correlators; built
              once per Correlate stage, shared by every consumer below. *)
           let index = lazy (Pg.Bindex.create po.pr_bin) in
@@ -617,7 +643,7 @@ module Plan = struct
               memo_profile ~tag:"probes" ~kind_p:P.Text_io.Probe (fun () ->
                   P.Text_io.Probe_prof
                     (Probe_corr.correlate_agg ~name_of ~index:(Lazy.force index)
-                       ~checksum_of ~obs:hooks.metrics po.pr_bin po.pr_agg))
+                       ~checksum_of ~obs:hooks.metrics po.pr_bin (sampled ()).pr_agg))
             with
             | P.Text_io.Probe_prof pp, text -> (pp, text)
             | _ -> assert false
@@ -629,7 +655,7 @@ module Plan = struct
                   memo_profile ~tag:"lines" ~kind_p:P.Text_io.Line (fun () ->
                       P.Text_io.Line_prof
                         (Pg.Dwarf_corr.correlate_agg ~name_of ~index:(Lazy.force index)
-                           ~obs:hooks.metrics po.pr_bin po.pr_agg))
+                           ~obs:hooks.metrics po.pr_bin (sampled ()).pr_agg))
                 with
                 | P.Text_io.Line_prof lp, text -> (lp, text)
                 | _ -> assert false
@@ -660,19 +686,20 @@ module Plan = struct
                        sharded result is byte-identical to serial, so the
                        memo key above deliberately excludes the job
                        count. *)
-                    let missing = if cc_missing_frames then po.pr_missing else None in
+                    let sm = sampled () in
+                    let missing = if cc_missing_frames then sm.pr_missing else None in
                     let trie, stats =
                       if hooks.jobs > 1 then
                         Par_corr.reconstruct ~name_of ?missing ~checksum_of
                           ~obs:hooks.metrics ~metrics:hooks.metrics
                           ~jobs:hooks.jobs (Lazy.force index)
-                          (Par_corr.shards_of_log po.pr_log)
+                          (Par_corr.shards_of_log sm.pr_log)
                       else begin
                         let st =
                           Ctx_reconstruct.start ~name_of ?missing ~checksum_of
                             ~obs:hooks.metrics (Lazy.force index)
                         in
-                        Vm.Sample_log.iter po.pr_log
+                        Vm.Sample_log.iter sm.pr_log
                           (fun ~lbr ~lbr_len ~stack ~stack_len ->
                             Ctx_reconstruct.feed st ~lbr ~lbr_len ~stack ~stack_len);
                         Ctx_reconstruct.finish st
@@ -704,7 +731,7 @@ module Plan = struct
                 stats.Ctx_reconstruct.st_gaps_failed;
               recon := Some stats;
               profile := Some (Prof_ctx { x_trie = trie; x_flat = flat });
-              profile_ser := text (* refreshed after Preinline *)
+              profile_ser := text
           | Corr_counters { cn_min_count; cn_min_ratio } ->
               let inst =
                 match po.pr_instr with
@@ -716,13 +743,14 @@ module Plan = struct
                   ~key:(!prof_key @ [ "counters"; fp (cn_min_count, cn_min_ratio) ])
                   ~ser:mser ~de:mde
                   (fun () ->
+                    let sm = sampled () in
                     let counts =
                       Instrument.block_counts inst.in_map
-                        (Option.value po.pr_counters
+                        (Option.value sm.pr_counters
                            ~default:(Array.make inst.in_map.Instrument.n_counters 0L))
                     in
                     let dominant =
-                      Instrument.dominant_values inst.in_vals po.pr_values
+                      Instrument.dominant_values inst.in_vals sm.pr_values
                         ~min_count:cn_min_count ~min_ratio:cn_min_ratio
                     in
                     (counts, dominant))
@@ -767,12 +795,10 @@ module Plan = struct
             | Some (Prof_lines lp) ->
                 let lp', rep = Stale_match.match_line ~obs:hooks.metrics ~target lp in
                 profile := Some (Prof_lines lp');
-                profile_ser := P.Text_io.to_string (P.Text_io.Line_prof lp');
                 rep
             | Some (Prof_probes pp) ->
                 let pp', rep = Stale_match.match_probe ~obs:hooks.metrics ~target pp in
                 profile := Some (Prof_probes pp');
-                profile_ser := P.Text_io.to_string (P.Text_io.Probe_prof pp');
                 rep
             | Some (Prof_ctx { x_trie; x_flat }) ->
                 let trie', rep = Stale_match.match_ctx ~obs:hooks.metrics ~target x_trie in
@@ -780,7 +806,6 @@ module Plan = struct
                    verdicts would double-count the trie's, so no obs here. *)
                 let flat', _ = Stale_match.match_probe ~target x_flat in
                 profile := Some (Prof_ctx { x_trie = trie'; x_flat = flat' });
-                profile_ser := P.Text_io.to_string (P.Text_io.Ctx_prof trie');
                 rep
             | Some (Prof_counters _) | None ->
                 invalid_arg "Plan.run: Stale_apply requires a correlated sampling profile"
@@ -798,7 +823,7 @@ module Plan = struct
               | Some cfg ->
                   let sizes =
                     match !prof with
-                    | Some po -> Size_extract.compute po.pr_bin
+                    | Some (po, _) -> Size_extract.compute po.pr_bin
                     | None ->
                         (* Injected-profile plan (Use_profile): no profiling
                            binary in this plan. Rebuild the probed
@@ -824,8 +849,7 @@ module Plan = struct
                   (* Without the pre-inliner every context merges into base. *)
                   ignore (P.Ctx_profile.trim_cold x_trie ~threshold:Int64.max_int);
                   decisions := []);
-              profile_size := P.Ctx_profile.size_bytes x_trie;
-              profile_ser := P.Text_io.to_string (P.Text_io.Ctx_prof x_trie)
+              profile_size := P.Ctx_profile.size_bytes x_trie
           | _ -> () (* no context trie: nothing to pre-inline *))
       | Rebuild rs ->
           let prog = Frontend.Lower.compile !rebuild_source in
@@ -956,7 +980,7 @@ module Plan = struct
           o_text_size = bin.Cg.Mach.text_size;
           o_debug_size = bin.Cg.Mach.debug_size;
           o_probe_meta_size = bin.Cg.Mach.probe_meta_size;
-          o_profiling_cycles = (match !prof with Some po -> po.pr_cycles | None -> 0L);
+          o_profiling_cycles = (match !prof with Some (po, _) -> po.pr_cycles | None -> 0L);
           o_annotated = ann;
           o_stales = !stales;
           o_recon_stats = !recon;

@@ -198,8 +198,11 @@ module Plan : sig
     jobs : int;
   }
   (** [memo] is the memoization hook threaded through {!run}. [kind] names
-      the stage family (["ref-info"], ["profile-run"], ["correlate"],
-      ["final-build"], ["evaluate"]); [key] is the content-addressed cache
+      the stage family (["ref-info"], ["profile-run"], ["profile-samples"],
+      ["correlate"], ["final-build"], ["evaluate"]); a profiling run stores
+      a small ["profile-run"] summary and its sampled data as
+      ["profile-samples"], which is looked up only when a [Correlate]
+      stage's own entry misses; [key] is the content-addressed cache
       key (source hash, spec fingerprints, probe/function checksum digest);
       [ser]/[de] convert the stage value to/from bytes (profiles serialize
       as canonical {!Csspgo_profile.Text_io} text). A hook must either

@@ -63,46 +63,46 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let read_file path =
+let with_file path f =
   match open_in_bin path with
   | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          Some (really_input_string ic len))
+  | ic -> Some (Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic))
 
 (* Entry layout: four header lines (magic, kind, joined key, payload digest)
-   followed by the raw payload bytes. *)
-let encode ~kind ~key payload =
-  String.concat "\n" [ magic; kind; join_key key; digest_hex payload; payload ]
+   followed by the raw payload bytes. The header and the payload are
+   written and read as separate strings, so the payload is never copied
+   into or out of a whole-entry blob. *)
+let header ~kind ~key payload =
+  String.concat "\n" [ magic; kind; join_key key; digest_hex payload; "" ]
 
 type decoded = Payload of string | Mismatch | Corrupt
 
-let decode ~kind ~key blob =
-  let next from =
-    match String.index_from_opt blob from '\n' with
-    | Some i -> Some (String.sub blob from (i - from), i + 1)
-    | None -> None
+(* One '\n'-terminated header line; [None] at end of file before the
+   newline. *)
+let input_header_line ic =
+  let b = Buffer.create 64 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Some (Buffer.contents b)
+    | c ->
+        Buffer.add_char b c;
+        go ()
+    | exception End_of_file -> None
   in
-  match next 0 with
-  | Some (m, p1) when String.equal m magic -> (
-      match next p1 with
-      | Some (k, p2) -> (
-          match next p2 with
-          | Some (kj, p3) -> (
-              match next p3 with
-              | Some (dg, p4) ->
-                  if not (String.equal k kind && String.equal kj (join_key key)) then
-                    Mismatch (* filename hash collision: someone else's entry *)
-                  else
-                    let payload = String.sub blob p4 (String.length blob - p4) in
-                    if String.equal dg (digest_hex payload) then Payload payload
-                    else Corrupt
-              | None -> Corrupt)
-          | None -> Corrupt)
-      | None -> Corrupt)
+  go ()
+
+let read_entry ~kind ~key ic =
+  let line () = input_header_line ic in
+  match line () with
+  | Some m when String.equal m magic -> (
+      match (line (), line (), line ()) with
+      | Some k, Some kj, Some dg ->
+          if not (String.equal k kind && String.equal kj (join_key key)) then
+            Mismatch (* filename hash collision: someone else's entry *)
+          else
+            let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+            if String.equal dg (digest_hex payload) then Payload payload else Corrupt
+      | _ -> Corrupt)
   | _ -> Corrupt
 
 let find t ~kind ~key =
@@ -117,19 +117,16 @@ let find t ~kind ~key =
             match entry_path t ~kind ~key with
             | None -> None
             | Some path -> (
-                match read_file path with
-                | None -> None
-                | Some blob -> (
-                    match decode ~kind ~key blob with
-                    | Payload payload ->
-                        Hashtbl.replace t.mem (kind, join_key key) payload;
-                        Some payload
-                    | Mismatch -> None
-                    | Corrupt ->
-                        t.c_corrupt <- t.c_corrupt + 1;
-                        M.incr t.m_poisoned;
-                        (try Sys.remove path with Sys_error _ -> ());
-                        None))
+                match with_file path (read_entry ~kind ~key) with
+                | None | Some Mismatch -> None
+                | Some (Payload payload) ->
+                    Hashtbl.replace t.mem (kind, join_key key) payload;
+                    Some payload
+                | Some Corrupt ->
+                    t.c_corrupt <- t.c_corrupt + 1;
+                    M.incr t.m_poisoned;
+                    (try Sys.remove path with Sys_error _ -> ());
+                    None)
           in
           (match disk with
           | Some _ ->
@@ -153,7 +150,9 @@ let store t ~kind ~key payload =
             let oc = open_out_bin tmp in
             Fun.protect
               ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> output_string oc (encode ~kind ~key payload));
+              (fun () ->
+                output_string oc (header ~kind ~key payload);
+                output_string oc payload);
             Sys.rename tmp path
           with Sys_error _ -> () (* disk trouble never fails the build *)))
 
@@ -206,9 +205,7 @@ let scan_dir dir =
           let k = kind_of_entry name in
           Hashtbl.replace kinds k (1 + Option.value (Hashtbl.find_opt kinds k) ~default:0);
           let sz =
-            match read_file (Filename.concat dir name) with
-            | Some blob -> String.length blob
-            | None -> 0
+            Option.value ~default:0 (with_file (Filename.concat dir name) in_channel_length)
           in
           (n + 1, b + sz)
         end)

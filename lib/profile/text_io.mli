@@ -45,8 +45,6 @@ val kind_name : kind -> string
 
 val kind_of : profile -> kind
 
-val write : Format.formatter -> profile -> unit
-
 val to_string : profile -> string
 (** Canonical text: sorted, comment-free, byte-stable for equal profiles. *)
 

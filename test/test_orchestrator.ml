@@ -206,6 +206,90 @@ let test_cache_poisoning () =
   Alcotest.(check bool) "healed outcome byte-identical" true
     (digest o0 = digest o3)
 
+(* --- lazy profile-run samples ---------------------------------------- *)
+
+(* The profiling run caches as a small summary plus its sampled data. A
+   warm plan whose Correlate entries all hit must never look the samples
+   up, and the summary must still carry what the stats report: the
+   profile-run and correlate counters equal the cold run's. (The rebuild
+   counters fire only when the final build recompiles, so they are not
+   compared.) With the samples and the correlated profiles deleted, the
+   correlate misses rerun the deterministic profiling run. *)
+let test_warm_run_skips_samples () =
+  let dir = "orch-cache-lazy-samples" in
+  let plan = D.Plan.make ~variant:D.Csspgo_full w in
+  let run cache =
+    let stats = O.Orchestrate.create_stats () in
+    let base = O.Orchestrate.hooks ~stats cache in
+    let kinds = ref [] in
+    let memo ~kind ~key ~ser ~de f =
+      kinds := kind :: !kinds;
+      base.D.Plan.memo ~kind ~key ~ser ~de f
+    in
+    let o = D.Plan.run ~hooks:{ base with D.Plan.memo } plan in
+    let counters =
+      List.filter
+        (fun (name, _) -> not (String.starts_with ~prefix:"rebuild." name))
+        (O.Orchestrate.stats_list stats)
+    in
+    (o, counters, !kinds)
+  in
+  let o0, s0, k0 = run (fresh_cache dir) in
+  Alcotest.(check bool) "cold run stores the samples" true (List.mem "profile-samples" k0);
+  Alcotest.(check bool) "profile-run counters fired" true
+    (List.mem_assoc "profile-run.samples" s0 && List.mem_assoc "correlate.recon-samples" s0);
+  let o1, s1, k1 = run (O.Cache.create ~dir ()) in
+  Alcotest.(check bool) "warm run reads the summary" true (List.mem "profile-run" k1);
+  Alcotest.(check bool) "warm run never looks up the samples" false
+    (List.mem "profile-samples" k1);
+  Alcotest.(check (list (pair string int))) "warm counters equal cold" s0 s1;
+  Alcotest.(check bool) "warm outcome byte-identical" true (digest o0 = digest o1);
+  Array.iter
+    (fun f ->
+      if List.exists (fun prefix -> String.starts_with ~prefix f) [ "profile-samples."; "correlate." ]
+      then Sys.remove (Filename.concat dir f))
+    (Sys.readdir dir);
+  let c2 = O.Cache.create ~dir () in
+  let o2, s2, k2 = run c2 in
+  Alcotest.(check bool) "correlate miss looks up the samples" true
+    (List.mem "profile-samples" k2);
+  Alcotest.(check (list (pair string int))) "rerun counters equal cold" s0 s2;
+  Alcotest.(check bool) "rerun outcome byte-identical" true (digest o0 = digest o2)
+
+(* --- cache entry layout ---------------------------------------------- *)
+
+(* Entries are written as header then payload, and read back the same
+   way, with no whole-entry blob: the bytes on disk must stay the
+   four-line layout earlier caches wrote, so existing cache directories
+   remain valid. An entry cut inside its header is corrupt. *)
+let test_cache_entry_layout () =
+  let dir = "orch-cache-layout" in
+  let c = fresh_cache dir in
+  let key = [ "k1"; "k2" ] and payload = "payload\nwith\x00\xffbytes" in
+  O.Cache.store c ~kind:"demo" ~key payload;
+  let path = Option.get (O.Cache.entry_path c ~kind:"demo" ~key) in
+  let header =
+    [
+      "csspgo-cache 1";
+      "demo";
+      "k1\x1fk2";
+      Printf.sprintf "%Lx" (Csspgo_support.Fnv.hash_string payload);
+    ]
+  in
+  Alcotest.(check string) "entry bytes" (String.concat "\n" (header @ [ payload ]))
+    (read_file path);
+  Alcotest.(check (option string)) "read back" (Some payload)
+    (O.Cache.find (O.Cache.create ~dir ()) ~kind:"demo" ~key);
+  (* the digest line without its newline *)
+  let header_only = String.concat "\n" header in
+  let oc = open_out_bin path in
+  output_string oc header_only;
+  close_out oc;
+  let c2 = O.Cache.create ~dir () in
+  Alcotest.(check (option string)) "truncated header is a miss" None
+    (O.Cache.find c2 ~kind:"demo" ~key);
+  Alcotest.(check int) "and counts as corrupt" 1 (O.Cache.stats c2).O.Cache.corrupt
+
 let suite =
   ( "orchestrator",
     [
@@ -219,4 +303,8 @@ let suite =
         test_determinism_across_jobs;
       Alcotest.test_case "cache poisoning degrades to rebuild" `Quick
         test_cache_poisoning;
+      Alcotest.test_case "warm run never decodes profile-run samples" `Quick
+        test_warm_run_skips_samples;
+      Alcotest.test_case "cache entry bytes keep their layout" `Quick
+        test_cache_entry_layout;
     ] )

@@ -3,6 +3,7 @@ module Ir = Csspgo_ir
 module P = Csspgo_profile
 module LP = P.Line_profile
 module PP = P.Probe_profile
+module T = P.Text_io
 module CP = P.Ctx_profile
 
 let g name = Ir.Guid.of_name name
@@ -360,6 +361,168 @@ let prop_merge_fentry_conserves =
       CP.merge_fentry ~into:a b;
       Int64.equal a.PP.fe_total total)
 
+(* --- reader edge cases, pinned against the list-based reader -------- *)
+
+(* Each malformed input with the [Parse_error] message and line the
+   list-based reader (split into lines, then into words) reported. The
+   single-pass reader must agree on every row: which record is unknown,
+   which token is bad, and which check fires first. *)
+let parse_error_table =
+  [
+    (Some T.Probe, "function f guid=zz total=1 head=1 checksum=0", ("bad hex \"zz\"", 1));
+    (Some T.Probe, "function f gid=1 total=1 head=1 checksum=0", ("expected guid=<value>, got \"gid=1\"", 1));
+    (Some T.Probe, "function f guid=1 total=1 head=x checksum=0", ("bad integer \"x\"", 1));
+    (Some T.Probe, "function f guid=1 total=1 head=1 checksum=g", ("bad hex \"g\"", 1));
+    (Some T.Probe, "function f guid=1 tot=1 head=1 checksum=0", ("expected total=<value>, got \"tot=1\"", 1));
+    (Some T.Probe, "function f guid=1 total=1 head=1 checksum=0 extra", ("unknown record \"function\"", 1));
+    (Some T.Probe, " probe 1 2", ("probe record outside function", 1));
+    (Some T.Probe, " call 1 2 3", ("call record outside function", 1));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe x 2", ("bad int \"x\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe x y", ("bad integer \"y\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 zz 3", ("bad hex \"zz\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call a zz q", ("bad integer \"q\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call a zz 3", ("bad hex \"zz\"", 2));
+    (Some T.Probe, "function f guid=1\n", ("unknown record \"function\"", 1));
+    (Some T.Probe, "bogus 1 2", ("unknown record \"bogus\"", 1));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n\n  # comment\n probe 1 2 # trailing\n probe 1", ("unknown record \"probe\"", 5));
+    (Some T.Probe, "function f guid=1=2 total=1 head=1 checksum=0", ("expected guid=<value>, got \"guid=1=2\"", 1));
+    (Some T.Probe, "function f guid= total=1 head=1 checksum=0", ("bad hex \"\"", 1));
+    (Some T.Probe, "function f =1a total=1 head=1 checksum=0", ("expected guid=<value>, got \"=1a\"", 1));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 99999999999999999999", ("bad integer \"99999999999999999999\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 99999999999999999999 1", ("bad int \"99999999999999999999\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 1ffffffffffffffff 1", ("bad hex \"1ffffffffffffffff\"", 2));
+    (Some T.Probe, "function\tf guid=1 total=1 head=1 checksum=0", ("unknown record \"function\\tf\"", 1));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 2\r\n", ("bad integer \"2\\r\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 +ff 2", ("bad hex \"+ff\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 0x1f 2", ("bad hex \"0x1f\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 -1 2", ("bad hex \"-1\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 -", ("bad integer \"-\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 _1", ("bad integer \"_1\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 0x", ("bad integer \"0x\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n call 1 _f 2", ("bad hex \"_f\"", 2));
+    (Some T.Probe, "function f guid=1a total=1 head=1 checksum=0\n probe 1 1.5", ("bad integer \"1.5\"", 2));
+    (Some T.Ctx, " probe 1 2", ("record outside context", 1));
+    (Some T.Ctx, " head 1", ("record outside context", 1));
+    (Some T.Ctx, " frame 1 2", ("frame outside context header", 1));
+    (Some T.Ctx, "context f guid=1a\n head 1\n frame 2 3", ("frame outside context header", 3));
+    (Some T.Ctx, "context f guid=1a\n frame zz q", ("bad int \"q\"", 2));
+    (Some T.Ctx, "context f guid=1a\n frame zz 1", ("bad hex \"zz\"", 2));
+    (Some T.Ctx, "context f guid=1a\n head x", ("bad integer \"x\"", 2));
+    (Some T.Ctx, "context f guid=1a\n checksum x", ("bad hex \"x\"", 2));
+    (Some T.Ctx, "context f\n", ("unknown record \"context\"", 1));
+    (Some T.Ctx, "context f gu=1", ("expected guid=<value>, got \"gu=1\"", 1));
+    (Some T.Ctx, "context f guid=q", ("bad hex \"q\"", 1));
+    (Some T.Ctx, "context f guid=1a\n probe a b", ("bad integer \"b\"", 2));
+    (Some T.Ctx, "context f guid=1a\n call 1 2", ("unknown record \"call\"", 2));
+    (Some T.Ctx, "context f guid=1a\n call a b c", ("bad integer \"c\"", 2));
+    (Some T.Ctx, "context f guid=1a\n frame 1 2 3", ("unknown record \"frame\"", 2));
+    (Some T.Ctx, "context f guid=1a\n head 1 2", ("unknown record \"head\"", 2));
+    (Some T.Ctx, "context f guid=1a\n bogus", ("unknown record \"bogus\"", 2));
+    (Some T.Ctx, "context f guid=1a\n probe 1 2\ncontext f guid=1a\n frame 2 x", ("bad int \"x\"", 4));
+    (Some T.Line, "function f guid=1a total=1 head=1\n line 1 2", ("bad line key \"1\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n line 1.2.3 4", ("bad line key \"1.2.3\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n line a.b c", ("bad integer \"c\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n line a.b 1", ("bad int \"b\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n callline 1.x zz 3", ("bad hex \"zz\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n callline 1.x zz q", ("bad integer \"q\"", 2));
+    (Some T.Line, "function f guid=1a total=1 head=1\n callline y.x 1 3", ("bad int \"x\"", 2));
+    (Some T.Line, " line 1.2 3", ("line record outside function", 1));
+    (Some T.Line, " callline 1.2 3 4", ("callline record outside function", 1));
+    (Some T.Line, "function f guid=1 total=1 head=1 checksum=2", ("unknown record \"function\"", 1));
+    (Some T.Line, "function f guid=1 total=1 hd=1", ("expected head=<value>, got \"hd=1\"", 1));
+    (Some T.Line, "function f guid=x total=1 head=1", ("bad hex \"x\"", 1));
+    (Some T.Line, "function f guid=1a total=1 head=1\n probe 1 2", ("unknown record \"probe\"", 2));
+    (None, "", ("empty profile text: cannot detect kind", 0));
+    (None, "# only a comment\n\n   \n", ("empty profile text: cannot detect kind", 0));
+    (None, "garbage", ("unknown record \"garbage\"", 1));
+    (None, "\n\nfunction f guid=1 total=1 head=1 xchecksum=0", ("unknown record \"function\"", 3));
+    (None, "function f guid=1 total=1 head=1 checksum=q", ("bad hex \"q\"", 1));
+    (None, "context", ("unknown record \"context\"", 1));
+    (None, "   function", ("unknown record \"function\"", 1));
+  ]
+
+(* Inputs outside the canonical form that the list-based reader accepted
+   (prefixed, signed and underscored numbers, 16-digit hex, comments,
+   repeated and out-of-order records), with its canonical rendering. *)
+let accepted_table =
+  [
+    (Some T.Probe, "function f guid=1A total=9 head=+5 checksum=DEAD_beef\n probe 0x10 1_000\n probe 0b11 0o17\n call 1_0 f_f -3\n probe 16 1\n  \n#x\nfunction g guid=ffffffffffffffff total=xy head=0u7 checksum=00\n probe 1 -9223372036854775808\n probe 2 9223372036854775807\n call 3 8000000000000000 123456789012345678\n", "function g guid=ffffffffffffffff total=-1 head=7 checksum=0\n probe 1 -9223372036854775808\n probe 2 9223372036854775807\n call 3 8000000000000000 123456789012345678\nfunction f guid=1a total=1016 head=5 checksum=deadbeef\n probe 3 15\n probe 16 1001\n call 10 ff -3\n");
+    (Some T.Ctx, "context b guid=2 inlined\n frame 1 3\n probe 1 2\ncontext a guid=1\n head 4\n checksum ff\n probe 1 1\ncontext c guid=3 x y inlined\n frame 1 3\n frame 2 5\n call 7 9 1\ncontext b guid=2\n frame 1 3\n probe 1 5\ncontext d guid=4\n frame 1 3\n frame 2 5\n frame 3 1\ncontext z guid=1a\n frame 1 4\n", "context a guid=1\n head 4\n checksum ff\n probe 1 1\ncontext b guid=2 inlined\n frame 1 3\n head 0\n checksum 0\n probe 1 7\ncontext c guid=3 inlined\n frame 1 3\n frame 2 5\n head 0\n checksum 0\n call 7 9 1\ncontext d guid=4\n frame 1 3\n frame 2 5\n frame 3 1\n head 0\n checksum 0\ncontext z guid=1a\n frame 1 4\n head 0\n checksum 0\n");
+    (Some T.Line, "function f guid=1 total=3 head=2\n line 1.0 5\n line 1.0 3\n line 0x2.0b1 7\n callline 3.0 ab 4\n callline 3.0 ab 4\n", "function f guid=1 total=12 head=2\n line 1.0 5\n line 2.1 7\n callline 3.0 ab 8\n");
+    (None, "\n# lead\ncontext a guid=1\n probe 1 1\n", "context a guid=1\n head 0\n checksum 0\n probe 1 1\n");
+    (Some T.Ctx, "context x guid=9\n frame 7 2\n frame 5 3\n probe 1 1\ncontext y guid=8\n frame 7 2\n frame 5 4\ncontext w guid=6\n frame 7 1\n", "context 7 guid=7\n head 0\n checksum 0\ncontext w guid=6\n frame 7 1\n head 0\n checksum 0\ncontext 5 guid=5\n frame 7 2\n head 0\n checksum 0\ncontext x guid=9\n frame 7 2\n frame 5 3\n head 0\n checksum 0\n probe 1 1\ncontext y guid=8\n frame 7 2\n frame 5 4\n head 0\n checksum 0\n");
+  ]
+
+let test_parse_error_table () =
+  List.iter
+    (fun (kind, input, (msg, line)) ->
+      match T.of_string ?kind input with
+      | _ -> Alcotest.failf "accepted %S" input
+      | exception T.Parse_error (m, l) ->
+          Alcotest.(check (pair string int)) (Printf.sprintf "%S" input) (msg, line) (m, l))
+    parse_error_table;
+  List.iter
+    (fun (kind, input, canonical) ->
+      Alcotest.(check string) (Printf.sprintf "%S" input) canonical
+        (T.to_string (T.of_string ?kind input)))
+    accepted_table
+
+(* Deep contexts that share prefixes: each context takes a prefix of one
+   long chain (up to 40 frames) and extends it with a short private
+   suffix. Reading the canonical text back must reproduce it, and so must
+   reading its context blocks in a shuffled order, which defeats the
+   reader's reuse of the previous context's path at every block. *)
+let deep_ctx_gen =
+  let step = QCheck.Gen.(pair (int_range 1 4) (int_range 0 3)) in
+  QCheck.Gen.(
+    triple (int_range 0 3)
+      (list_size (int_range 0 40) step)
+      (list_size (int_range 1 12)
+         (triple (int_range 0 40) (list_size (int_range 0 6) step) (int_range 0 1000))))
+
+let context_blocks text =
+  String.split_on_char '\n' text
+  |> List.fold_left
+       (fun blocks line ->
+         match blocks with
+         | cur :: rest when not (String.starts_with ~prefix:"context " line) ->
+             (cur ^ line ^ "\n") :: rest
+         | _ -> (line ^ "\n") :: blocks)
+       []
+  |> List.rev
+
+let prop_deep_ctx_roundtrip =
+  QCheck.Test.make ~name:"deep shared-prefix context profiles round-trip in any block order"
+    ~count:200
+    (QCheck.make deep_ctx_gen)
+    (fun (root_fi, chain, branches) ->
+      let t = CP.create () in
+      List.iter
+        (fun (cut, suffix, c) ->
+          let frames = List.filteri (fun i _ -> i < cut) chain @ suffix in
+          let node =
+            List.fold_left
+              (fun parent (site, fi) ->
+                CP.attach t ~parent:(Some parent) ~site (g (fname fi)) ~name:(fname fi))
+              (CP.base t (g (fname root_fi)) ~name:(fname root_fi))
+              frames
+          in
+          node.CP.n_inlined <- c mod 3 = 0;
+          PP.add_probe node.CP.n_prof (1 + (c mod 7)) (Int64.of_int c);
+          if c mod 5 = 0 then PP.add_call node.CP.n_prof 2 (g (fname (c mod 4))) 3L)
+        branches;
+      let s = ctx_to_string t in
+      let blocks = Array.of_list (context_blocks (String.sub s 0 (String.length s - 1))) in
+      let rng = Random.State.make [| Hashtbl.hash s |] in
+      for i = Array.length blocks - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let b = blocks.(i) in
+        blocks.(i) <- blocks.(j);
+        blocks.(j) <- b
+      done;
+      String.equal s (ctx_to_string (read_ctx s))
+      && String.equal s (ctx_to_string (read_ctx (String.concat "" (Array.to_list blocks)))))
+
 let suite =
   ( "profile",
     [
@@ -374,6 +537,7 @@ let suite =
       Alcotest.test_case "ctx text roundtrip" `Quick test_ctx_roundtrip;
       Alcotest.test_case "line text roundtrip" `Quick test_line_roundtrip;
       Alcotest.test_case "text parse errors" `Quick test_text_io_errors;
+      Alcotest.test_case "text reader error and grammar table" `Quick test_parse_error_table;
       Alcotest.test_case "unified io detects and round-trips" `Quick
         test_unified_detect_and_roundtrip;
       Alcotest.test_case "unified io rejects recordless input" `Quick
@@ -382,5 +546,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_probe_profile_roundtrip;
       QCheck_alcotest.to_alcotest prop_line_profile_roundtrip;
       QCheck_alcotest.to_alcotest prop_ctx_profile_roundtrip;
+      QCheck_alcotest.to_alcotest prop_deep_ctx_roundtrip;
       QCheck_alcotest.to_alcotest prop_merge_fentry_conserves;
     ] )

@@ -150,6 +150,91 @@ let prop_rng_chance_extremes =
       let rng = Rng.create seed in
       (not (Rng.chance rng 0.0)) && Rng.chance rng 1.0)
 
+(* The byte-fold definitions the loop-form Fnv replaced, kept as the
+   oracle: one closure per byte through [String.iter], and [int] as
+   [int64] of the sign-extended value. *)
+module Fnv_oracle = struct
+  let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001B3L
+
+  let string h s =
+    let h = ref h in
+    String.iter (fun c -> h := byte !h (Char.code c)) s;
+    !h
+
+  let int64 h x =
+    let h = ref h in
+    for i = 0 to 7 do
+      h := byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+    done;
+    !h
+
+  let int h x = int64 h (Int64.of_int x)
+end
+
+let test_fnv_oracle_edges () =
+  List.iter
+    (fun s ->
+      Alcotest.(check int64) (Printf.sprintf "string %S" s)
+        (Fnv_oracle.string Fnv.init s) (Fnv.string Fnv.init s))
+    [ ""; "\x00"; "\x80"; "\xff"; "\xff\x80\x7f\x00"; String.make 300 '\xfe' ];
+  List.iter
+    (fun x ->
+      Alcotest.(check int64) (Printf.sprintf "int %d" x) (Fnv_oracle.int Fnv.init x)
+        (Fnv.int Fnv.init x))
+    [ 0; 1; -1; 255; 256; max_int; min_int; 1 lsl 55; -(1 lsl 56) ];
+  List.iter
+    (fun x ->
+      Alcotest.(check int64) (Printf.sprintf "int64 %Ld" x) (Fnv_oracle.int64 Fnv.init x)
+        (Fnv.int64 Fnv.init x))
+    [ 0L; -1L; Int64.max_int; Int64.min_int; 0x80L; 0xff00ff00ff00ff00L ];
+  Alcotest.(check int64) "substring" (Fnv.string Fnv.init "bcd")
+    (Fnv.substring Fnv.init "abcde" ~pos:1 ~len:3);
+  Alcotest.check_raises "substring out of range" (Invalid_argument "Fnv.substring")
+    (fun () -> ignore (Fnv.substring Fnv.init "abc" ~pos:2 ~len:2))
+
+let any_byte_string = QCheck.(string_gen Gen.(map Char.chr (int_range 0 255)))
+
+let prop_fnv_matches_oracle =
+  QCheck.Test.make ~name:"fnv string/substring/int64/int match the byte-fold oracle"
+    ~count:500
+    QCheck.(quad int64 any_byte_string int64 int)
+    (fun (h, s, x, n) ->
+      let len = String.length s in
+      let pos = if len = 0 then 0 else abs n mod len in
+      Int64.equal (Fnv.string h s) (Fnv_oracle.string h s)
+      && Int64.equal
+           (Fnv.substring h s ~pos ~len:(len - pos))
+           (Fnv_oracle.string h (String.sub s pos (len - pos)))
+      && Int64.equal (Fnv.int64 h x) (Fnv_oracle.int64 h x)
+      && Int64.equal (Fnv.int h n) (Fnv_oracle.int h n))
+
+(* A digest over a cache payload must not cost garbage in proportion to
+   its size: hashing 1 MB allocates at most the boxed result (3 words),
+   and [int]/[int64] allocate only theirs. *)
+let test_fnv_allocation () =
+  let s = String.init (1 lsl 20) (fun i -> Char.chr (i * 131 land 0xff)) in
+  let words f =
+    let w0 = Gc.minor_words () in
+    let w1 = Gc.minor_words () in
+    f ();
+    let w2 = Gc.minor_words () in
+    w2 -. w1 -. (w1 -. w0)
+  in
+  let sink = ref 0L in
+  let string_words = words (fun () -> sink := Fnv.string Fnv.init s) in
+  Alcotest.(check bool) (Printf.sprintf "1 MB hash: %.0f words <= 3" string_words) true
+    (string_words <= 3.);
+  let x = Sys.opaque_identity 0x0123456789abcdefL in
+  let int_words =
+    words (fun () ->
+        for i = 1 to 1000 do
+          sink := Fnv.int64 (Fnv.int !sink i) x
+        done)
+  in
+  Alcotest.(check bool) (Printf.sprintf "1000 int+int64: %.0f words <= 6000" int_words)
+    true (int_words <= 6000.);
+  ignore (Sys.opaque_identity !sink)
+
 let suite =
   ( "support",
     [
@@ -169,4 +254,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_heap_sorted;
       QCheck_alcotest.to_alcotest prop_vec_roundtrip;
       QCheck_alcotest.to_alcotest prop_rng_chance_extremes;
+      Alcotest.test_case "fnv matches byte-fold oracle at edges" `Quick test_fnv_oracle_edges;
+      Alcotest.test_case "fnv allocates only its result" `Quick test_fnv_allocation;
+      QCheck_alcotest.to_alcotest prop_fnv_matches_oracle;
     ] )
