@@ -14,6 +14,9 @@
      fuzz              differential fuzzing campaign over random programs
      cache    DIR      inspect or clear an orchestrator artifact cache
 
+   compile, run and probes report bad MiniC (syntax, unbound variables,
+   undefined callees) as one FILE:LINE: MESSAGE line and exit 1.
+
    pgo and fuzz take -j (domains) and --cache-dir (artifact cache); both
    route through the Csspgo_orchestrator scheduler + cache. pgo and report
    also take --trace FILE (Chrome trace-event JSON; --fixed-clock makes it
@@ -42,8 +45,16 @@ let read_file path =
   close_in ic;
   s
 
-let compile_src ?(probes = false) ~opt src =
-  let p = F.Lower.compile src in
+(* Bad MiniC is a user error: one [file:line: message] line, exit 1. *)
+let lower file src =
+  try F.Lower.compile src with
+  | F.Lexer.Lex_error (msg, line) | F.Parser.Parse_error (msg, line) | F.Lower.Lower_error (msg, line)
+    ->
+      Printf.eprintf "%s:%d: %s\n" file line msg;
+      exit 1
+
+let compile_src ?(probes = false) ~opt file =
+  let p = lower file (read_file file) in
   if probes then Core.Pseudo_probe.insert p;
   Ir.Verify.check_exn p;
   let config = match opt with 0 -> Opt.Config.o0 | _ -> Opt.Config.o2_nopgo in
@@ -63,7 +74,7 @@ let probes_flag =
 
 let compile_cmd =
   let run file opt probes =
-    let _, bin = compile_src ~probes ~opt (read_file file) in
+    let _, bin = compile_src ~probes ~opt file in
     Printf.printf "text           %6d bytes\n" bin.Cg.Mach.text_size;
     Printf.printf "instructions   %6d\n" (Array.length bin.Cg.Mach.insts);
     Printf.printf "functions      %6d\n" (Array.length bin.Cg.Mach.funcs);
@@ -89,7 +100,7 @@ let fuel_arg =
 
 let run_cmd =
   let run file opt probes args fuel =
-    let _, bin = compile_src ~probes ~opt (read_file file) in
+    let _, bin = compile_src ~probes ~opt file in
     let r =
       (* A VM trap (fuel exhausted, unmapped jump) is a resource limit or a
          property of the program, not a tool bug: one line, exit 2. *)
@@ -457,7 +468,7 @@ let report_cmd =
 
 let probes_cmd =
   let run file =
-    let _, bin = compile_src ~probes:true ~opt:2 (read_file file) in
+    let _, bin = compile_src ~probes:true ~opt:2 file in
     Array.iter
       (fun (pr : Cg.Mach.probe_rec) ->
         Printf.printf "0x%04x  %Lx #%d%s" pr.Cg.Mach.pr_addr pr.Cg.Mach.pr_func

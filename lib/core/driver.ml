@@ -459,7 +459,7 @@ module Plan = struct
         x_dominant : (Instrument.vsite_key, int64) Hashtbl.t;
       }
 
-  let run ?(hooks = default_hooks) (plan : t) =
+  let run_stages ~hooks (plan : t) =
     let w = plan.pl_workload in
     let src_fp = fp_string w.w_source in
     (* Reference program symbol names and pseudo-probe CFG checksums, shared
@@ -990,6 +990,96 @@ module Plan = struct
           o_stale_report = !stale_report;
         }
     | _ -> invalid_arg "Plan.run: plan must end with Rebuild and Evaluate stages"
+
+  (* Digests of input lists, computed once per list value: the five
+     variants of a workload, and every warm rerun, share one list. Keys are
+     weak and compared by physical identity; the bounded structural hash
+     only picks the bucket. Plans run on several domains, hence the lock.
+     Inputs are never mutated (the VM copies [rs_globals] into its own
+     memory), so a list's digest cannot go stale. *)
+  module Input_digests = Ephemeron.K1.Make (struct
+    type t = run_spec list
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+  let input_digests = Input_digests.create 16
+  let input_digests_lock = Mutex.create ()
+
+  let digest_inputs specs =
+    let array h a = Array.fold_left Fnv.int64 (Fnv.int h (Array.length a)) a in
+    let spec h s =
+      let h = List.fold_left Fnv.int64 (Fnv.int h (List.length s.rs_args)) s.rs_args in
+      List.fold_left
+        (fun h (name, a) -> array (Fnv.string (Fnv.int h (String.length name)) name) a)
+        (Fnv.int h (List.length s.rs_globals))
+        s.rs_globals
+    in
+    Printf.sprintf "%Lx" (List.fold_left spec (Fnv.int Fnv.init (List.length specs)) specs)
+
+  let inputs_digest specs =
+    let locked f = Mutex.protect input_digests_lock f in
+    match locked (fun () -> Input_digests.find_opt input_digests specs) with
+    | Some d -> d
+    | None ->
+        let d = digest_inputs specs in
+        locked (fun () -> Input_digests.replace input_digests specs d);
+        d
+
+  (* A structural fingerprint: unlike [fp], independent of sharing. *)
+  let fp_struct v = fp_string (Marshal.to_string v [ Marshal.No_sharing ])
+
+  (* A stage with its bulky fields (sources, profile texts, input lists)
+     replaced by their digests. *)
+  let stage_key = function
+    | Compile cs -> fp_struct (Compile { cs with c_source = fp_string cs.c_source })
+    | Profile_run ps ->
+        fp_struct (Profile_run { ps with p_train = [] }) ^ ":" ^ inputs_digest ps.p_train
+    | Evaluate es -> fp_struct (Evaluate { es with e_eval = [] }) ^ ":" ^ inputs_digest es.e_eval
+    | Use_profile us ->
+        fp_struct
+          (Use_profile
+             { u_text = fp_string us.u_text; u_flat_text = Option.map fp_string us.u_flat_text })
+    | Stale_apply ss -> fp_struct (Stale_apply { ss with st_source = fp_string ss.st_source })
+    | (Instrument _ | Correlate _ | Preinline _ | Rebuild _) as st -> fp_struct st
+
+  (* Everything [run_stages] reads: the variant (the outcome's tag), the
+     options (the injected-profile pre-inliner rebuilds its sizing binary
+     from them), the workload's source (reference names and checksums, the
+     default rebuild source) and entry, and every stage. The workload's
+     own input lists are read only through the stages that carry them. *)
+  let plan_key (plan : t) =
+    let w = plan.pl_workload in
+    "plan-v1" :: variant_name plan.pl_variant :: fp_struct plan.pl_options
+    :: fp_string w.w_source :: w.w_entry
+    :: List.map stage_key plan.pl_stages
+
+  (* A warm plan is one cache read: the outcome is memoized whole, together
+     with the stats the stages emitted outside any memo thunk (those are
+     the ones a warm stage path would emit too), which a hit replays. A
+     miss runs the stages with every inner memo in place, so partial reuse
+     is unchanged. *)
+  let run ?(hooks = default_hooks) (plan : t) =
+    let fresh = ref false in
+    let outcome, stats =
+      hooks.memo ~kind:"plan" ~key:(plan_key plan) ~ser:mser ~de:mde (fun () ->
+          fresh := true;
+          let emitted = ref [] and depth = ref 0 in
+          let memo ~kind ~key ~ser ~de f =
+            hooks.memo ~kind ~key ~ser ~de (fun () ->
+                incr depth;
+                Fun.protect ~finally:(fun () -> decr depth) f)
+          in
+          let stat ~name v =
+            if !depth = 0 then emitted := (name, v) :: !emitted;
+            hooks.stat ~name v
+          in
+          let o = run_stages ~hooks:{ hooks with memo; stat } plan in
+          (o, List.rev !emitted))
+    in
+    if not !fresh then List.iter (fun (name, v) -> hooks.stat ~name v) stats;
+    outcome
 end
 
 let run_variant ?options variant (w : workload) =

@@ -11,6 +11,10 @@ type run_spec = {
   rs_args : int64 list;
   rs_globals : (string * int64 array) list;
 }
+(** One program input. Treat it as immutable: {!Plan.run} digests each
+    input list once per list value (by physical identity), so an array
+    edited in place after a plan has used it would be keyed as before.
+    To change an input, build a new list. *)
 
 type workload = {
   w_name : string;
@@ -198,8 +202,12 @@ module Plan : sig
     jobs : int;
   }
   (** [memo] is the memoization hook threaded through {!run}. [kind] names
-      the stage family (["ref-info"], ["profile-run"], ["profile-samples"],
-      ["correlate"], ["final-build"], ["evaluate"]); a profiling run stores
+      the stage family (["plan"], ["ref-info"], ["profile-run"],
+      ["profile-samples"], ["correlate"], ["final-build"], ["evaluate"]).
+      {!run} first looks the whole plan up as one ["plan"] entry, keyed on
+      the variant, the options, the workload's source and entry and every
+      stage spec (input lists by a digest computed once per list value);
+      only a miss runs the stages and their own memos. A profiling run stores
       a small ["profile-run"] summary and its sampled data as
       ["profile-samples"], which is looked up only when a [Correlate]
       stage's own entry misses; [key] is the content-addressed cache
@@ -209,7 +217,9 @@ module Plan : sig
       return the thunk's result or a deserialized value from a previous
       identical call.
 
-      [stat] receives per-stage counters (fired on cache hits too):
+      [stat] receives per-stage counters (fired on cache hits too; a
+      ["plan"] hit replays, in order, the counters the stages emitted
+      outside any memo thunk):
       ["profile-run.samples"], ["profile-run.log-words"],
       ["correlate.profile-bytes"], ["correlate.recon-samples"],
       ["correlate.recon-dropped"], ["correlate.gaps-resolved"],
@@ -217,7 +227,7 @@ module Plan : sig
 
       [span] wraps the execution of each stage; [name] is {!stage_name} of
       the stage. Hooks may open a trace span there — the default runs the
-      thunk untouched.
+      thunk untouched. A ["plan"] hit runs no stage, so it opens no span.
 
       [metrics] is handed to the VM, the correlators, and context
       reconstruction for their hot-path instruments ([vm.*], [probe-corr.*],
@@ -247,7 +257,8 @@ module Plan : sig
   (** Interpret the stages in order. Raises [Invalid_argument] on malformed
       plans (e.g. [Profile_run] before [Compile], or a missing [Rebuild] /
       [Evaluate] tail). Deterministic: equal plans produce byte-identical
-      binaries and profiles. *)
+      binaries and profiles. The plan's input lists ([run_spec]) must not
+      be mutated once a plan has used them. *)
 end
 
 val run_variant : ?options:options -> variant -> workload -> outcome

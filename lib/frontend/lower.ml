@@ -11,6 +11,7 @@ type ctx = {
   mutable cur : Ir.Block.t;
   mutable loops : (T.label * T.label) list;  (** (continue target, break target) *)
   fline : int;
+  defined : string -> bool;  (** whether the program defines a function *)
 }
 
 let dloc ctx line = Ir.Dloc.mk ctx.func.Ir.Func.guid (max 0 (line - ctx.fline))
@@ -97,6 +98,7 @@ let rec lower_expr ctx (e : expr) : T.operand =
       start_block ctx bb_join;
       T.Reg result
   | Call (callee, args) ->
+      if not (ctx.defined callee) then raise (Lower_error ("unknown function " ^ callee, line));
       let argops = List.map (lower_expr ctx) args in
       let d = fresh ctx in
       emit ctx line (I.Call { I.c_ret = Some d; c_callee = callee; c_args = argops; c_probe = 0 });
@@ -208,7 +210,7 @@ let rec lower_stmt ctx (s : stmt) : unit =
       set_term ctx (I.Jmp bb_join.Ir.Block.id);
       start_block ctx bb_join
 
-let lower_fn (fd : fndef) : Ir.Func.t =
+let lower_fn ~defined (fd : fndef) : Ir.Func.t =
   let params = List.mapi (fun i _ -> i) fd.fparams in
   let func = Ir.Func.mk ~name:fd.fname ~modname:fd.fmodule ~params in
   func.Ir.Func.nregs <- List.length params;
@@ -219,6 +221,7 @@ let lower_fn (fd : fndef) : Ir.Func.t =
       cur = Ir.Func.entry_block func;
       loops = [];
       fline = fd.fline;
+      defined;
     }
   in
   List.iteri (fun i name -> Hashtbl.replace ctx.env name i) fd.fparams;
@@ -240,7 +243,10 @@ let lower_fn (fd : fndef) : Ir.Func.t =
 let lower_program (p : program) : Ir.Program.t =
   let prog = Ir.Program.mk () in
   List.iter (fun (g, n) -> Ir.Program.add_global prog g n) p.pglobals;
-  List.iter (fun fd -> Ir.Program.add_func prog (lower_fn fd)) p.pfns;
+  let names = Hashtbl.create 16 in
+  List.iter (fun fd -> Hashtbl.replace names fd.fname ()) p.pfns;
+  let defined = Hashtbl.mem names in
+  List.iter (fun fd -> Ir.Program.add_func prog (lower_fn ~defined fd)) p.pfns;
   prog
 
 let compile src = lower_program (Parser.parse src)

@@ -8,7 +8,9 @@
     Language notes: variables are function-scoped; [switch] has no
     fall-through; [break]/[continue] apply to the innermost loop. *)
 
-exception Lower_error of string * int  (** message, absolute line *)
+exception Lower_error of string * int
+(** Message and absolute line of an unknown variable, [break]/[continue]
+    outside a loop, or a call to a function the program does not define. *)
 
 val lower_program : Ast.program -> Csspgo_ir.Program.t
 

@@ -161,6 +161,12 @@ let test_unknown_variable () =
     | exception F.Lower.Lower_error _ -> true
     | _ -> false)
 
+let test_unknown_function () =
+  Alcotest.(check bool) "unknown callee raises at its line" true
+    (match F.Lower.compile "fn main(a) {\n  return nosuch(a);\n}" with
+    | exception F.Lower.Lower_error ("unknown function nosuch", 2) -> true
+    | _ -> false)
+
 let test_operators_exhaustive () =
   let cases =
     [ ("fn main() { return 7 & 3; }", 3L);
@@ -244,6 +250,7 @@ let suite =
       Alcotest.test_case "relative debug lines" `Quick test_relative_lines;
       Alcotest.test_case "module assignment" `Quick test_module_assignment;
       Alcotest.test_case "unknown variable" `Quick test_unknown_variable;
+      Alcotest.test_case "unknown function" `Quick test_unknown_function;
       Alcotest.test_case "operators exhaustive" `Quick test_operators_exhaustive;
       Alcotest.test_case "nested control flow" `Quick test_nested_control_flow;
       Alcotest.test_case "empty return" `Quick test_empty_return;

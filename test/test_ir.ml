@@ -111,7 +111,15 @@ let test_verify_catches_bad_target () =
   Alcotest.(check bool) "bad target caught" true (Ir.Verify.program p <> [])
 
 let test_verify_unknown_call () =
-  let p = F.Lower.compile "fn main(a) { return nosuch(a); }" in
+  (* Built by hand: the frontend rejects calls to undefined functions. *)
+  let f = Ir.Func.mk ~name:"main" ~modname:"m" ~params:[ 0 ] in
+  f.Ir.Func.nregs <- 2;
+  let entry = Ir.Func.entry_block f in
+  Ir.Block.add entry
+    (I.mk (I.Call { I.c_ret = Some 1; c_callee = "nosuch"; c_args = [ T.Reg 0 ]; c_probe = 0 }) Ir.Dloc.none);
+  Ir.Block.set_term entry (I.Ret (T.Reg 1));
+  let p = Ir.Program.mk () in
+  Ir.Program.add_func p f;
   Alcotest.(check bool) "unknown callee flagged" true (Ir.Verify.program p <> [])
 
 let test_callgraph () =

@@ -222,9 +222,11 @@ let test_warm_run_skips_samples () =
     let stats = O.Orchestrate.create_stats () in
     let base = O.Orchestrate.hooks ~stats cache in
     let kinds = ref [] in
+    (* The whole-plan entry would answer first; bypass it so the stage
+       memos under test are the ones consulted. *)
     let memo ~kind ~key ~ser ~de f =
       kinds := kind :: !kinds;
-      base.D.Plan.memo ~kind ~key ~ser ~de f
+      if String.equal kind "plan" then f () else base.D.Plan.memo ~kind ~key ~ser ~de f
     in
     let o = D.Plan.run ~hooks:{ base with D.Plan.memo } plan in
     let counters =
@@ -290,6 +292,164 @@ let test_cache_entry_layout () =
     (O.Cache.find c2 ~kind:"demo" ~key);
   Alcotest.(check int) "and counts as corrupt" 1 (O.Cache.stats c2).O.Cache.corrupt
 
+(* --- whole-plan entries --------------------------------------------- *)
+
+(* Runs [plan] through [cache], recording every memo kind looked up and
+   every stat emitted, in order. With [bypass_plan] the whole-plan entry
+   is skipped, so the stages answer from their own entries. *)
+let traced_run ?(bypass_plan = false) cache plan =
+  let base = O.Orchestrate.hooks cache in
+  let kinds = ref [] and stats = ref [] in
+  let memo ~kind ~key ~ser ~de f =
+    kinds := kind :: !kinds;
+    if bypass_plan && String.equal kind "plan" then f ()
+    else base.D.Plan.memo ~kind ~key ~ser ~de f
+  in
+  let stat ~name v = stats := (name, v) :: !stats in
+  let o = D.Plan.run ~hooks:{ base with D.Plan.memo; stat } plan in
+  (o, List.rev !kinds, List.rev !stats)
+
+(* A fully warm plan is one cache read, of kind "plan" (so no correlate
+   or profile-run entry is read), and reports the stats the stage path
+   would report on the same warm cache. *)
+let test_warm_plan_one_read () =
+  let dir = "orch-cache-plan" in
+  ignore (fresh_cache dir);
+  List.iter
+    (fun variant ->
+      let plan = D.Plan.make ~variant w in
+      let name = D.variant_name variant in
+      let o0, _, _ = traced_run (O.Cache.create ~dir ()) plan in
+      let c1 = O.Cache.create ~dir () in
+      let o1, k1, s1 = traced_run c1 plan in
+      Alcotest.(check (list string)) (name ^ ": one lookup, of kind plan") [ "plan" ] k1;
+      let st = O.Cache.stats c1 in
+      Alcotest.(check (pair int int)) (name ^ ": one hit, no miss") (1, 0)
+        (st.O.Cache.hits, st.O.Cache.misses);
+      let _, k2, s2 = traced_run ~bypass_plan:true (O.Cache.create ~dir ()) plan in
+      Alcotest.(check bool) (name ^ ": the bypassed run reads the stages") true
+        (List.mem "final-build" k2 && List.mem "evaluate" k2);
+      Alcotest.(check (list (pair string int))) (name ^ ": stats equal the stage path") s2 s1;
+      Alcotest.(check bool) (name ^ ": warm outcome equals cold") true (digest o0 = digest o1))
+    variants
+
+(* A damaged plan entry is detected by its digest, the plan is rebuilt
+   through the stages (all of which still hit), and the entry is written
+   back. *)
+let test_plan_entry_corruption () =
+  let dir = "orch-cache-plan-corrupt" in
+  let plan = D.Plan.make ~variant:D.Csspgo_full w in
+  let o0, _, _ = traced_run (fresh_cache dir) plan in
+  let plan_file () =
+    match List.filter (String.starts_with ~prefix:"plan.") (Array.to_list (Sys.readdir dir)) with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one plan entry, found %d" (List.length fs)
+  in
+  let rewrite f =
+    let path = plan_file () in
+    let b = f (read_file path) in
+    let oc = open_out_bin path in
+    output_string oc b;
+    close_out oc
+  in
+  let truncate s = String.sub s 0 (String.length s / 2) in
+  let flip s =
+    let b = Bytes.of_string s in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (what, damage) ->
+      rewrite damage;
+      let c = O.Cache.create ~dir () in
+      let o, k, _ = traced_run c plan in
+      let st = O.Cache.stats c in
+      Alcotest.(check int) (what ^ ": detected") 1 st.O.Cache.corrupt;
+      Alcotest.(check bool) (what ^ ": rebuilt through the stages") true
+        (List.mem "correlate" k && List.mem "final-build" k);
+      Alcotest.(check int) (what ^ ": only the plan entry is rewritten") 1 st.O.Cache.stores;
+      Alcotest.(check bool) (what ^ ": rebuilt outcome equals cold") true (digest o0 = digest o);
+      let c' = O.Cache.create ~dir () in
+      let o', k', _ = traced_run c' plan in
+      let st' = O.Cache.stats c' in
+      Alcotest.(check (list string)) (what ^ ": healed") [ "plan" ] k';
+      Alcotest.(check (pair int int)) (what ^ ": healed entry hits") (1, 0)
+        (st'.O.Cache.hits, st'.O.Cache.corrupt);
+      Alcotest.(check bool) (what ^ ": healed outcome equals cold") true (digest o0 = digest o'))
+    [ ("truncated", truncate); ("flipped byte", flip) ]
+
+exception Plan_key of string list
+
+(* The key a plan's whole-plan entry is looked up under; nothing runs. *)
+let plan_key plan =
+  let hooks =
+    {
+      D.Plan.default_hooks with
+      D.Plan.memo =
+        (fun ~kind ~key ~ser:_ ~de:_ _ ->
+          if String.equal kind "plan" then raise (Plan_key key)
+          else Alcotest.failf "%s looked up before the plan entry" kind);
+    }
+  in
+  match D.Plan.run ~hooks plan with
+  | exception Plan_key key -> key
+  | _ -> Alcotest.fail "the plan was not memoized"
+
+let copy_specs =
+  List.map (fun (s : D.run_spec) ->
+      {
+        D.rs_args = List.map (fun a -> Int64.add a 0L) s.D.rs_args;
+        rs_globals = List.map (fun (n, a) -> (n ^ "", Array.copy a)) s.D.rs_globals;
+      })
+
+let test_plan_key () =
+  let base = plan_key (D.Plan.make ~variant:D.Csspgo_full w) in
+  let differs what plan =
+    Alcotest.(check bool) (what ^ " changes the key") false (base = plan_key plan)
+  in
+  let bumped =
+    match copy_specs w.D.w_eval with
+    | ({ D.rs_globals = (n, a) :: gs; _ } as s) :: rest ->
+        a.(Array.length a / 2) <- Int64.succ a.(Array.length a / 2);
+        { s with D.rs_globals = (n, a) :: gs } :: rest
+    | _ -> Alcotest.fail "adranker's eval input has a global array"
+  in
+  differs "one eval input element" (D.Plan.make ~variant:D.Csspgo_full { w with D.w_eval = bumped });
+  differs "trim_threshold"
+    (D.Plan.make
+       ~options:{ D.default_options with D.trim_threshold = 9L }
+       ~variant:D.Csspgo_full w);
+  differs "the variant" (D.Plan.make ~variant:D.Csspgo_probe_only w);
+  differs "the sampling period"
+    (D.Plan.make
+       ~options:
+         {
+           D.default_options with
+           D.pmu = { D.default_options.D.pmu with Csspgo_vm.Machine.sample_period = 997 };
+         }
+       ~variant:D.Csspgo_full w);
+  (* an option no stage spec of an injected-profile plan carries: the
+     pre-inliner's sizing build reads it from the options *)
+  let injected options =
+    D.Plan.make_with_profile ?options
+      ~profile:(Csspgo_profile.Text_io.Ctx_prof (Csspgo_profile.Ctx_profile.create ()))
+      w
+  in
+  Alcotest.(check bool) "the profiling pipeline of an injected plan changes the key" false
+    (plan_key (injected None)
+    = plan_key
+        (injected
+           (Some
+              {
+                D.default_options with
+                D.opt_profiling = { D.default_options.D.opt_profiling with Csspgo_opt.Config.unroll_factor = 3 };
+              })));
+  Alcotest.(check (list string)) "structurally equal inputs give the same key" base
+    (plan_key
+       (D.Plan.make ~variant:D.Csspgo_full
+          { w with D.w_train = copy_specs w.D.w_train; w_eval = copy_specs w.D.w_eval }))
+
 let suite =
   ( "orchestrator",
     [
@@ -307,4 +467,8 @@ let suite =
         test_warm_run_skips_samples;
       Alcotest.test_case "cache entry bytes keep their layout" `Quick
         test_cache_entry_layout;
+      Alcotest.test_case "a warm plan is one cache read" `Quick test_warm_plan_one_read;
+      Alcotest.test_case "damaged plan entries rebuild and heal" `Quick
+        test_plan_entry_corruption;
+      Alcotest.test_case "plan keys follow every input" `Quick test_plan_key;
     ] )

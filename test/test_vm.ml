@@ -338,6 +338,19 @@ let test_negative_index_wraps () =
   Alcotest.(check int64) "negative index" 42L
     (Vm.Machine.run ~pmu:None bin ~entry:"main" ~args:[ -2L ]).Vm.Machine.ret_value
 
+(* Input digests are memoized per input list, which is only sound if a
+   run never writes back into the arrays it was initialized from. *)
+let test_globals_init_unchanged () =
+  let src = "global g[4];\nfn main(a) { g[0] = a; g[a % 4] = g[1] + 7; return g[0] + g[3]; }" in
+  let bin = build src in
+  let init = [| 1L; 2L; 3L; 4L; 5L |] in
+  let before = Array.copy init in
+  List.iter
+    (fun a ->
+      ignore (Vm.Machine.run ~pmu:None ~globals_init:[ ("g", init) ] bin ~entry:"main" ~args:[ a ]))
+    [ 0L; 3L; 42L ];
+  Alcotest.(check (array int64)) "globals_init untouched" before init
+
 let suite =
   ( "vm",
     [
@@ -361,4 +374,5 @@ let suite =
       Alcotest.test_case "pebs suppresses skid" `Quick test_pebs_suppresses_skid;
       Alcotest.test_case "globals init shapes" `Quick test_globals_init_shapes;
       Alcotest.test_case "negative index wraps" `Quick test_negative_index_wraps;
+      Alcotest.test_case "globals_init arrays unchanged" `Quick test_globals_init_unchanged;
     ] )
